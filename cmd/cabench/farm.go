@@ -29,20 +29,11 @@ import (
 // shardRun executes one shard of the sweep's job list into the store. No
 // table is rendered — the store (plus the run manifest) is the output.
 func shardRun(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
-	store, err := lab.Open(opt.storePath)
+	store, finish, err := lab.OpenForRun(opt.storePath, rec, stderr)
 	if err != nil {
 		return err
 	}
-	store.OnFlush = rec.StoreFlushed
-	defer func() {
-		if cerr := store.Close(); err == nil {
-			err = cerr
-		}
-		rec.SetStore(store.Stats().Rollup())
-		if err == nil {
-			fmt.Fprintln(stderr, store.Stats())
-		}
-	}()
+	defer finish(&err)
 	ws, err := bench.ShardWorkloads(opt.cfg, opt.shardIdx, opt.shardOf)
 	if err != nil {
 		return err
@@ -55,7 +46,7 @@ func shardRun(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
 }
 
 // shardDir places shard i's private store under the main store root. The
-// store only claims objects/, segments/, and runs/, so shards/ rides along
+// store only claims segments/ and runs/, so shards/ rides along
 // without confusing any reader.
 func shardDir(storePath string, i, n int) string {
 	return filepath.Join(storePath, "shards", fmt.Sprintf("%d-of-%d", i, n))

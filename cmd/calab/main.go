@@ -7,7 +7,6 @@
 //	calab gc -store DIR [-all]          # drop entries from other engine versions (or everything)
 //	calab export -store DIR [-csv F]    # long-form CSV of every trial entry
 //	calab verify -store DIR             # integrity: content addresses and payload fingerprints
-//	calab pack -store DIR               # convert loose objects/ entries into packed segments
 //	calab index -store DIR              # rebuild the segment sidecar index by scanning segments
 //	calab merge SRC... DST              # fold shard stores into DST (per-key dedup, one engine tag)
 //	calab runs -store DIR               # list the run manifests under DIR/runs
@@ -54,7 +53,7 @@ type reportedError struct{ err error }
 func (e reportedError) Error() string { return e.err.Error() }
 func (e reportedError) Unwrap() error { return e.err }
 
-const usageText = "usage: calab <inspect|diff|gc|export|verify|pack|index|merge|runs> [flags]\n"
+const usageText = "usage: calab <inspect|diff|gc|export|verify|index|merge|runs> [flags]\n"
 
 // parseArgs parses the subcommand and its flag set. Split out of main for
 // testability.
@@ -70,7 +69,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	var store, a, b, csvPath, runID *string
 	var all *bool
 	switch opt.cmd {
-	case "inspect", "verify", "pack", "index":
+	case "inspect", "verify", "index":
 		store = storeFlag()
 	case "gc":
 		store = storeFlag()
@@ -186,8 +185,6 @@ func run(opt options, out io.Writer) error {
 		return export(opt.store, opt.csvPath, out)
 	case "diff":
 		return diff(opt.a, opt.b, out)
-	case "pack":
-		return pack(opt.store, out)
 	case "index":
 		return index(opt.store, out)
 	case "merge":
@@ -197,7 +194,7 @@ func run(opt options, out io.Writer) error {
 }
 
 // closing runs after a command body and surfaces the store Close error —
-// which is where a packed store persists its sidecar index — unless the body
+// which is where a store persists its sidecar index — unless the body
 // already failed with something more specific.
 func closing(st *lab.Store, err *error) {
 	if cerr := st.Close(); cerr != nil && *err == nil {
@@ -225,7 +222,7 @@ func inspect(dir string, out io.Writer) (err error) {
 			continue
 		}
 		current = append(current, e)
-		if e.Kind == lab.KindTrial {
+		if e.Kind == bench.KindTrial {
 			trials++
 		} else {
 			scenarios++
@@ -277,23 +274,6 @@ func gc(dir string, all bool, out io.Writer) (err error) {
 	return nil
 }
 
-// pack converts every loose objects/ entry into packed segment records and
-// removes the loose files, leaving a store whose warm lookups are one
-// in-memory index probe plus one segment read.
-func pack(dir string, out io.Writer) (err error) {
-	st, err := lab.OpenExisting(dir)
-	if err != nil {
-		return err
-	}
-	defer closing(st, &err)
-	packed, loose, err := st.Pack()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "packed %d loose entries; store now holds %d packed entries\n", loose, packed)
-	return nil
-}
-
 // index rebuilds the sidecar index from the segment bytes themselves —
 // recovery for a missing or stale segments/index.json.
 func index(dir string, out io.Writer) (err error) {
@@ -311,8 +291,8 @@ func index(dir string, out io.Writer) (err error) {
 }
 
 // merge folds each SRC store into DST: per-key dedup (content-addressed
-// entries cannot conflict), engine-tag mismatch refusal, packed and loose
-// sources alike. Sources must already exist; the destination is created on
+// entries cannot conflict), engine-tag mismatch refusal. Sources must
+// already exist; the destination is created on
 // demand, so merging shard stores into a fresh main store just works.
 func merge(srcDirs []string, dstDir string, out io.Writer) (err error) {
 	dst, err := lab.Open(dstDir)
@@ -365,7 +345,7 @@ func export(dir, csvPath string, out io.Writer) (err error) {
 	}
 	for _, e := range entries {
 		var rec []string
-		if e.Kind == lab.KindTrial {
+		if e.Kind == bench.KindTrial {
 			wl, res := e.Workload, e.Result
 			rec = []string{
 				e.Kind, wl.DS, wl.Scheme, itoa(wl.Threads), itoa(wl.UpdatePct), "",

@@ -27,7 +27,6 @@ func TestParseArgsSubcommands(t *testing.T) {
 		{[]string{"gc", "-store", "d"}, options{cmd: "gc", store: "d"}},
 		{[]string{"export", "-store", "d", "-csv", "out.csv"}, options{cmd: "export", store: "d", csvPath: "out.csv"}},
 		{[]string{"diff", "-a", "x", "-b", "y"}, options{cmd: "diff", a: "x", b: "y"}},
-		{[]string{"pack", "-store", "d"}, options{cmd: "pack", store: "d"}},
 		{[]string{"index", "-store", "d"}, options{cmd: "index", store: "d"}},
 		{[]string{"merge", "s1", "dst"}, options{cmd: "merge", srcs: []string{"s1"}, store: "dst"}},
 		{[]string{"merge", "s1", "s2", "dst"}, options{cmd: "merge", srcs: []string{"s1", "s2"}, store: "dst"}},
@@ -52,7 +51,7 @@ func TestParseArgsErrors(t *testing.T) {
 		{"gc"},                     // missing -store
 		{"diff", "-a", "x"},        // missing -b
 		{"diff", "-b", "y"},        // missing -a
-		{"pack"},                   // missing -store
+		{"pack"},                   // retired subcommand
 		{"index"},                  // missing -store
 		{"merge"},                  // no stores at all
 		{"merge", "onlydst"},       // no sources
@@ -86,7 +85,6 @@ func TestReadCommandsRejectMissingStore(t *testing.T) {
 		{cmd: "gc", store: missing},
 		{cmd: "export", store: missing},
 		{cmd: "diff", a: missing, b: missing},
-		{cmd: "pack", store: missing},
 		{cmd: "index", store: missing},
 	} {
 		if err := run(opt, io.Discard); err == nil {
@@ -153,31 +151,19 @@ func fillStore(t *testing.T, dir string) {
 	}
 }
 
-// TestPackAndIndexEndToEnd: a loose store converts in place, the sidecar
-// rebuilds from segment bytes alone, and the packed store keeps serving the
-// same entries.
-func TestPackAndIndexEndToEnd(t *testing.T) {
+// TestGCAndIndexEndToEnd: gc compacts a freshly filled store into one
+// segment, the sidecar rebuilds from segment bytes alone, and the store
+// keeps serving the same entries.
+func TestGCAndIndexEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	st, err := lab.OpenLoose(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bench.Sweep(bench.SweepConfig{
-		DS: "list", Schemes: []string{"ca"}, Threads: []int{2}, Updates: []int{100},
-		KeyRange: 32, Ops: 50, Seed: 9, Trials: 2, Store: st,
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	fillStore(t, dir)
 
 	var out strings.Builder
-	if err := run(options{cmd: "pack", store: dir}, &out); err != nil {
-		t.Fatalf("pack: %v", err)
+	if err := run(options{cmd: "gc", store: dir}, &out); err != nil {
+		t.Fatalf("gc: %v", err)
 	}
-	if !strings.Contains(out.String(), "packed 2 loose entries; store now holds 2 packed entries") {
-		t.Errorf("pack output: %s", out.String())
+	if !strings.Contains(out.String(), "removed 0 entries, kept 2") {
+		t.Errorf("gc output: %s", out.String())
 	}
 
 	// The sidecar index must be reconstructible from segment bytes alone.
@@ -188,7 +174,7 @@ func TestPackAndIndexEndToEnd(t *testing.T) {
 	if err := run(options{cmd: "index", store: dir}, &out); err != nil {
 		t.Fatalf("index: %v", err)
 	}
-	if !strings.Contains(out.String(), "indexed 2 entries across") {
+	if !strings.Contains(out.String(), "indexed 2 entries across 1 segments") {
 		t.Errorf("index output: %s", out.String())
 	}
 
@@ -197,14 +183,14 @@ func TestPackAndIndexEndToEnd(t *testing.T) {
 		t.Fatalf("verify: %v", err)
 	}
 	if !strings.Contains(out.String(), "2 sound entries, 0 problems") {
-		t.Errorf("verify output after pack: %s", out.String())
+		t.Errorf("verify output after gc: %s", out.String())
 	}
 	out.Reset()
 	if err := run(options{cmd: "inspect", store: dir}, &out); err != nil {
 		t.Fatalf("inspect: %v", err)
 	}
 	if !strings.Contains(out.String(), "2 trial + 0 scenario") {
-		t.Errorf("inspect output after pack: %s", out.String())
+		t.Errorf("inspect output after gc: %s", out.String())
 	}
 }
 

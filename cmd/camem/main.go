@@ -132,30 +132,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 // footprint runs the per-scheme workloads and renders the Figure 3 table
 // (and CSV). Observability (rec may be nil) is out-of-band.
 func footprint(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
-	var store *lab.Store
-	var trialStore bench.TrialStore // typed nil must stay an untyped nil interface
-	if opt.storePath != "" {
-		st, oerr := lab.Open(opt.storePath)
-		if oerr != nil {
-			return oerr
-		}
-		store = st
-		store.OnFlush = rec.StoreFlushed
-		trialStore = store
-		// Close always runs — a failed run must not lose the batched segment
-		// writes of the trials that did complete. First error wins; the
-		// success-only stats line keeps the one-line failure contract.
-		defer func() {
-			if cerr := store.Close(); err == nil {
-				err = cerr
-			}
-			rec.SetStore(store.Stats().Rollup())
-			if err == nil {
-				fmt.Fprintln(stderr, store.Stats())
-			}
-		}()
+	store, finish, err := lab.OpenForRun(opt.storePath, rec, stderr)
+	if err != nil {
+		return err
 	}
-	results, err := bench.RunManyObserved(opt.ws, opt.workers, trialStore, rec)
+	defer finish(&err)
+	results, err := bench.RunManyObserved(opt.ws, opt.workers, store, rec)
 	if err != nil {
 		return err
 	}

@@ -193,28 +193,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 // observability point (rec may be nil).
 func runScenarios(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
 	var runner bench.Runner
-	var store *lab.Store
-	if opt.storePath != "" {
-		st, oerr := lab.Open(opt.storePath)
-		if oerr != nil {
-			return oerr
-		}
-		store = st
-		store.OnFlush = rec.StoreFlushed
-		runner.Store = st
-		// Close always runs — a failed run must not lose the batched segment
-		// writes of the trials that did complete. First error wins; the
-		// success-only stats line keeps the one-line failure contract.
-		defer func() {
-			if cerr := store.Close(); err == nil {
-				err = cerr
-			}
-			rec.SetStore(store.Stats().Rollup())
-			if err == nil {
-				fmt.Fprintln(stderr, store.Stats())
-			}
-		}()
+	store, finish, err := lab.OpenForRun(opt.storePath, rec, stderr)
+	if err != nil {
+		return err
 	}
+	defer finish(&err)
+	runner.Store = store
 	runner.Obs = rec.Worker(0)
 	var sink *trace.Sink
 	if opt.tracePath != "" {

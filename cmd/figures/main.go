@@ -164,28 +164,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 func figures(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
 	g := opt.g
 	g.rec = rec
-	var store *lab.Store
-	if opt.storePath != "" {
-		st, oerr := lab.Open(opt.storePath)
-		if oerr != nil {
-			return oerr
-		}
-		store = st
-		store.OnFlush = rec.StoreFlushed
-		g.store = store
-		// Close always runs — a failed figure job must not lose the batched
-		// segment writes of the trials that did complete. First error wins;
-		// the success-only stats line keeps the one-line failure contract.
-		defer func() {
-			if cerr := store.Close(); err == nil {
-				err = cerr
-			}
-			rec.SetStore(store.Stats().Rollup())
-			if err == nil {
-				fmt.Fprintln(stderr, store.Stats())
-			}
-		}()
+	store, finish, err := lab.OpenForRun(opt.storePath, rec, stderr)
+	if err != nil {
+		return err
 	}
+	defer finish(&err)
+	g.store = store
 	if err := os.MkdirAll(g.out, 0o755); err != nil {
 		return err
 	}

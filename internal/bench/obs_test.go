@@ -19,7 +19,7 @@ import (
 // store must show simulation time collapsing to zero with the store lookup
 // as the remaining cost.
 func TestManifestAccountsWallClock(t *testing.T) {
-	st := &keyedMemStore{memStore: newMemStore()}
+	st := newMemStore()
 	cfg := SweepConfig{
 		DS: "list", Schemes: []string{"ca", "rcu"},
 		Threads: []int{2}, Updates: []int{100},
@@ -124,16 +124,10 @@ func TestParallelSweepObserved(t *testing.T) {
 // fails, simulating a full or broken disk under the sweep pool.
 type failingStore struct{ inner *memStore }
 
-func (f failingStore) LookupTrial(w Workload) (Result, bool) { return f.inner.LookupTrial(w) }
-func (f failingStore) StoreTrial(w Workload, res Result) error {
-	return errors.New("disk full")
+func (f failingStore) Lookup(kind string, ps *PreparedSpec, out any) bool {
+	return f.inner.Lookup(kind, ps, out)
 }
-func (f failingStore) LookupScenario(sw ScenarioWorkload) (ScenarioResult, bool) {
-	return f.inner.LookupScenario(sw)
-}
-func (f failingStore) StoreScenario(sw ScenarioWorkload, res ScenarioResult) error {
-	return errors.New("disk full")
-}
+func (f failingStore) Put(string, *PreparedSpec, any) error { return errors.New("disk full") }
 
 // TestPoolErrorPathKeepsObsConsistent injects a failing TrialStore under a
 // parallel sweep and checks the observability contract on the error path:

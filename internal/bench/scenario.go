@@ -300,26 +300,19 @@ func compileProfile(p scenario.Profile) (workFn, error) {
 // keys on the Workload itself in Run and calls runScenario directly, so one
 // trial is never cached under two keys.)
 func (r *Runner) RunScenario(sw ScenarioWorkload) (ScenarioResult, error) {
-	// As in Run: canonicalize the spec once and let a keyed store carry
-	// the derived content key from the lookup into the write-through.
-	// Phase spans are recorded at this level only (runScenario is also
-	// Run's engine, which would double-count the simulate span).
+	// As in Run: canonicalize the spec once and let the store carry the
+	// derived content key from the lookup into the write-through. Phase
+	// spans are recorded at this level only (runScenario is also Run's
+	// engine, which would double-count the simulate span).
 	t0 := r.Obs.Start(obs.PhasePrepare)
-	ks, ps := r.keyedStore(func() ([]byte, error) { return ScenarioSpecBytes(sw) })
+	ps, err := r.prepare(func() ([]byte, error) { return ScenarioSpecBytes(sw) })
 	r.Obs.End(obs.PhasePrepare, t0)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
 	if r.Store != nil {
 		var sres ScenarioResult
-		var ok bool
-		t0 = r.Obs.Start(obs.PhaseLookup)
-		if ks != nil {
-			sres, ok = ks.LookupScenarioSpec(ps)
-		} else {
-			sres, ok = r.Store.LookupScenario(sw)
-		}
-		r.Obs.End(obs.PhaseLookup, t0)
-		if ok && !staleTail(sw.RecordLatency || sw.RecordTail, sres.Tail) &&
-			!staleTimeline(sw.RecordTimeline, sres.Timeline) {
-			r.Obs.Warm()
+		if r.lookup(KindScenario, ps, &sres) {
 			return sres, nil
 		}
 	}
@@ -330,14 +323,7 @@ func (r *Runner) RunScenario(sw ScenarioWorkload) (ScenarioResult, error) {
 		return ScenarioResult{}, err
 	}
 	if r.Store != nil {
-		t0 = r.Obs.Start(obs.PhaseStore)
-		if ks != nil {
-			err = ks.StoreScenarioSpec(ps, sres)
-		} else {
-			err = r.Store.StoreScenario(sw, sres)
-		}
-		r.Obs.End(obs.PhaseStore, t0)
-		if err != nil {
+		if err := r.put(KindScenario, ps, sres); err != nil {
 			return ScenarioResult{}, fmt.Errorf("bench: storing scenario result: %w", err)
 		}
 	}

@@ -4,7 +4,8 @@
 // shape. This file defines the pluggable store interface the execution paths
 // consult (the on-disk implementation lives in internal/lab), the canonical
 // serialized spec forms that content-addressed keys are derived from, and
-// the engine tag that scopes keys to one pinned engine output.
+// the engine tag that scopes keys to one pinned engine output and result
+// schema.
 
 package bench
 
@@ -17,61 +18,41 @@ import (
 	"condaccess/internal/ds/hashtable"
 )
 
+// Entry kinds: the namespace a spec is stored under, so a stationary trial
+// and a scenario trial can never share a content key.
+const (
+	KindTrial    = "trial"
+	KindScenario = "scenario"
+)
+
 // TrialStore is a read-through/write-through cache of complete trial
 // results, consulted by Runner.Run and Runner.RunScenario before any
-// simulation happens. A hit must return exactly the Result a cold run would
-// produce (the stored value is the cold run's own serialized output —
-// including the tail-latency histograms when the spec records latency), so
-// warm and cold sweeps are byte-identical. Implementations must be safe for
-// concurrent use: the parallel sweep path shares one store across workers.
-//
-// Results gained the Tail histograms (and scan-pause attribution) after the
-// PR 4 envelope format shipped; entries written by older binaries decode
-// with a nil Tail, and the engine tag only tracks golden-pinned simulator
-// output. The Runner therefore treats a hit with a nil Tail as a miss
-// whenever the spec asks for tail recording (staleTail): the trial is
-// re-simulated and the entry overwritten, so stale stores heal in place.
+// simulation happens. The Runner canonicalizes each spec once into a
+// PreparedSpec and hands the same one to Lookup and, after a miss, to Put.
+// A hit must return exactly the result a cold run would produce (the stored
+// value is the cold run's own serialized output), so warm and cold sweeps
+// are byte-identical. Implementations must be safe for concurrent use: the
+// parallel sweep path shares one store across workers.
 type TrialStore interface {
-	// LookupTrial returns the cached result of the stationary trial w.
-	LookupTrial(w Workload) (Result, bool)
-	// StoreTrial records the result of the stationary trial w.
-	StoreTrial(w Workload, res Result) error
-	// LookupScenario returns the cached result of the scenario trial sw.
-	LookupScenario(sw ScenarioWorkload) (ScenarioResult, bool)
-	// StoreScenario records the result of the scenario trial sw.
-	StoreScenario(sw ScenarioWorkload, res ScenarioResult) error
+	// Lookup decodes the cached result of the kind trial whose canonical
+	// spec is ps.Spec into out (a *Result or *ScenarioResult) and reports
+	// whether there was one.
+	Lookup(kind string, ps *PreparedSpec, out any) bool
+	// Put records res (a Result or ScenarioResult) under (kind, ps).
+	Put(kind string, ps *PreparedSpec, res any) error
 }
 
 // PreparedSpec carries one trial's canonical serialized spec, marshaled
 // once per trial by the Runner, plus a memo slot for the store-derived
-// content key. A keyed store fills Key on the first lookup and reuses it in
-// the write-through after a miss, so a cold trial costs one spec marshal
-// and one key derivation instead of two of each.
+// content key. A store fills Key on the lookup and reuses it in the
+// write-through after a miss, so a cold trial costs one spec marshal and
+// one key derivation instead of two of each.
 type PreparedSpec struct {
 	Spec []byte
 	// Key is the store's memoized content address for Spec (opaque to the
 	// harness; the lab store caches SHA-256(tag, kind, spec) here). Empty
-	// until a keyed store operation fills it.
+	// until a store operation fills it.
 	Key string
-}
-
-// KeyedTrialStore is the optional fast path of TrialStore. Stores that
-// implement it receive the canonical spec bytes the Runner already
-// marshaled — with the content key memoized across the lookup/store pair —
-// instead of re-deriving both per call. The Runner type-asserts for it on
-// every store access and falls back to the plain TrialStore methods, so
-// existing implementations keep working unchanged.
-type KeyedTrialStore interface {
-	TrialStore
-	// LookupTrialSpec returns the cached result of the stationary trial
-	// whose canonical spec is ps.Spec, memoizing the derived key on ps.
-	LookupTrialSpec(ps *PreparedSpec) (Result, bool)
-	// StoreTrialSpec records res under ps (reusing ps.Key when set).
-	StoreTrialSpec(ps *PreparedSpec, res Result) error
-	// LookupScenarioSpec and StoreScenarioSpec are the scenario-trial
-	// analogues over ScenarioSpecBytes.
-	LookupScenarioSpec(ps *PreparedSpec) (ScenarioResult, bool)
-	StoreScenarioSpec(ps *PreparedSpec, res ScenarioResult) error
 }
 
 // goldenPins embeds the golden checksum files that pin the engine's
@@ -80,14 +61,22 @@ type KeyedTrialStore interface {
 //go:embed testdata/golden.json testdata/golden_scenario.json
 var goldenPins embed.FS
 
+// resultSchema versions the serialized shape of Result and ScenarioResult.
+// The goldens pin simulator output, not which optional fields a stored
+// result carries, so a change to the result shape (a new recorded field, a
+// renamed one) bumps this constant instead. Old entries then fall outside
+// the engine tag wholesale: they miss, re-simulate, and GC collects them.
+const resultSchema = "result-schema 2"
+
 // EngineTag fingerprints the engine version a cached result was produced
-// by: a digest of the embedded golden checksum files. The goldens pin every
-// observable bit of the simulator's output, and any deliberate engine change
-// regenerates them (-update-golden), so regenerating the goldens
-// automatically invalidates every stale store entry — no hand-maintained
-// version constant to forget.
+// by: a digest of the result schema version and the embedded golden
+// checksum files. The goldens pin every observable bit of the simulator's
+// output, and any deliberate engine change regenerates them
+// (-update-golden), so regenerating the goldens automatically invalidates
+// every stale store entry.
 func EngineTag() string {
 	h := sha256.New()
+	h.Write([]byte(resultSchema + "\n"))
 	for _, name := range []string{"testdata/golden.json", "testdata/golden_scenario.json"} {
 		b, err := goldenPins.ReadFile(name)
 		if err != nil {

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -82,152 +84,96 @@ func TestEffectiveBuckets(t *testing.T) {
 }
 
 // memStore is an in-memory TrialStore for harness-side integration tests.
+// It keys entries by canonical spec, one map per kind, and is instrumented
+// to observe how the Runner drives it: it memoizes a synthetic key on the
+// PreparedSpec at lookup and records the key it sees again at put time.
 type memStore struct {
 	mu        sync.Mutex
 	trials    map[string]Result
 	scenarios map[string]ScenarioResult
+	lookups   int
 	puts      int
+	putSawKey string
 }
 
 func newMemStore() *memStore {
 	return &memStore{trials: map[string]Result{}, scenarios: map[string]ScenarioResult{}}
 }
 
-func (m *memStore) LookupTrial(w Workload) (Result, bool) {
-	spec, _ := TrialSpecBytes(w)
+func (m *memStore) Lookup(kind string, ps *PreparedSpec, out any) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	res, ok := m.trials[string(spec)]
-	return res, ok
-}
-
-func (m *memStore) StoreTrial(w Workload, res Result) error {
-	spec, _ := TrialSpecBytes(w)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.trials[string(spec)] = res
-	m.puts++
-	return nil
-}
-
-func (m *memStore) LookupScenario(sw ScenarioWorkload) (ScenarioResult, bool) {
-	spec, _ := ScenarioSpecBytes(sw)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	res, ok := m.scenarios[string(spec)]
-	return res, ok
-}
-
-func (m *memStore) StoreScenario(sw ScenarioWorkload, res ScenarioResult) error {
-	spec, _ := ScenarioSpecBytes(sw)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.scenarios[string(spec)] = res
-	m.puts++
-	return nil
-}
-
-// keyedMemStore wraps memStore with the KeyedTrialStore fast path,
-// instrumented to observe how the Runner drives it: it memoizes a synthetic
-// key on the PreparedSpec at lookup and records the key it sees again at
-// store time.
-type keyedMemStore struct {
-	*memStore
-	keyedLookups, keyedStores int
-	classicCalls              int
-	storeSawKey               string
-}
-
-func (m *keyedMemStore) LookupTrial(w Workload) (Result, bool) {
-	m.classicCalls++
-	return m.memStore.LookupTrial(w)
-}
-
-func (m *keyedMemStore) StoreTrial(w Workload, res Result) error {
-	m.classicCalls++
-	return m.memStore.StoreTrial(w, res)
-}
-
-func (m *keyedMemStore) LookupTrialSpec(ps *PreparedSpec) (Result, bool) {
-	m.keyedLookups++
+	m.lookups++
 	if ps.Key == "" {
-		ps.Key = "memo:" + string(ps.Spec[:16])
+		ps.Key = "memo:" + kind
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	res, ok := m.trials[string(ps.Spec)]
-	return res, ok
+	switch kind {
+	case KindTrial:
+		res, ok := m.trials[string(ps.Spec)]
+		*out.(*Result) = res
+		return ok
+	case KindScenario:
+		res, ok := m.scenarios[string(ps.Spec)]
+		*out.(*ScenarioResult) = res
+		return ok
+	}
+	return false
 }
 
-func (m *keyedMemStore) StoreTrialSpec(ps *PreparedSpec, res Result) error {
-	m.keyedStores++
-	m.storeSawKey = ps.Key
+func (m *memStore) Put(kind string, ps *PreparedSpec, res any) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.trials[string(ps.Spec)] = res
 	m.puts++
+	m.putSawKey = ps.Key
+	switch kind {
+	case KindTrial:
+		m.trials[string(ps.Spec)] = res.(Result)
+	case KindScenario:
+		m.scenarios[string(ps.Spec)] = res.(ScenarioResult)
+	}
 	return nil
 }
 
-func (m *keyedMemStore) LookupScenarioSpec(ps *PreparedSpec) (ScenarioResult, bool) {
-	m.keyedLookups++
-	if ps.Key == "" {
-		ps.Key = "memo:" + string(ps.Spec[:16])
+// specKey returns the canonical spec string memStore indexes by.
+func specKey(b []byte, err error) string {
+	if err != nil {
+		panic(err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	res, ok := m.scenarios[string(ps.Spec)]
-	return res, ok
+	return string(b)
 }
 
-func (m *keyedMemStore) StoreScenarioSpec(ps *PreparedSpec, res ScenarioResult) error {
-	m.keyedStores++
-	m.storeSawKey = ps.Key
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.scenarios[string(ps.Spec)] = res
-	m.puts++
-	return nil
-}
-
-// TestKeyedFastPathMemoizesAcrossLookupAndStore: a store implementing
-// KeyedTrialStore must get the keyed calls — never the classic ones — and
-// the key it memoized on the PreparedSpec at lookup must arrive intact at
-// the write-through, on both the stationary and scenario paths.
+// TestKeyedFastPathMemoizesAcrossLookupAndStore: the key a store memoized
+// on the PreparedSpec at lookup must arrive intact at the write-through, on
+// both the stationary and scenario paths, and a warm re-run is one lookup
+// and no put.
 func TestKeyedFastPathMemoizesAcrossLookupAndStore(t *testing.T) {
-	st := &keyedMemStore{memStore: newMemStore()}
+	st := newMemStore()
 	r := Runner{Store: st}
 	if _, err := r.Run(goldenWorkload("list", "ca")); err != nil {
 		t.Fatal(err)
 	}
-	if st.classicCalls != 0 {
-		t.Fatalf("keyed store received %d classic TrialStore calls", st.classicCalls)
+	if st.lookups != 1 || st.puts != 1 {
+		t.Fatalf("store traffic %d lookups / %d puts, want 1/1", st.lookups, st.puts)
 	}
-	if st.keyedLookups != 1 || st.keyedStores != 1 {
-		t.Fatalf("keyed traffic %d lookups / %d stores, want 1/1", st.keyedLookups, st.keyedStores)
-	}
-	if st.storeSawKey == "" || !bytes.HasPrefix([]byte(st.storeSawKey), []byte("memo:")) {
-		t.Fatalf("write-through saw key %q; the lookup's memo was lost", st.storeSawKey)
+	if st.putSawKey != "memo:"+KindTrial {
+		t.Fatalf("write-through saw key %q; the lookup's memo was lost", st.putSawKey)
 	}
 
-	// Warm re-run: pure keyed lookup, no store, no re-memoization surprises.
+	// Warm re-run: one lookup, no put.
 	if _, err := r.Run(goldenWorkload("list", "ca")); err != nil {
 		t.Fatal(err)
 	}
-	if st.keyedLookups != 2 || st.keyedStores != 1 {
-		t.Fatalf("warm keyed traffic %d lookups / %d stores, want 2/1", st.keyedLookups, st.keyedStores)
+	if st.lookups != 2 || st.puts != 1 {
+		t.Fatalf("warm store traffic %d lookups / %d puts, want 2/1", st.lookups, st.puts)
 	}
 
 	// Scenario path mirrors the stationary one.
-	st.storeSawKey = ""
+	st.putSawKey = ""
 	if _, err := r.RunScenario(lowerWorkload(goldenWorkload("queue", "ca"))); err != nil {
 		t.Fatal(err)
 	}
-	if st.classicCalls != 0 {
-		t.Fatalf("scenario path fell back to classic calls (%d)", st.classicCalls)
-	}
-	if st.storeSawKey == "" {
-		t.Fatal("scenario write-through lost the lookup's key memo")
+	if st.putSawKey != "memo:"+KindScenario {
+		t.Fatalf("scenario write-through saw key %q; the lookup's memo was lost", st.putSawKey)
 	}
 }
 
@@ -259,11 +205,9 @@ func TestSweepStoreHitSkipsSimulation(t *testing.T) {
 	}
 	// Poison the cached result; a warm sweep must return the poison.
 	w := trialWorkload(cfg, pointSpec{Scheme: "ca", Threads: 2, UpdatePct: 50}, 0)
-	poisoned, _ := st.LookupTrial(w)
+	poisoned := st.trials[specKey(TrialSpecBytes(w))]
 	poisoned.Throughput = 123456789
-	if err := st.StoreTrial(w, poisoned); err != nil {
-		t.Fatal(err)
-	}
+	st.trials[specKey(TrialSpecBytes(w))] = poisoned
 	warm, err := Sweep(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -271,5 +215,22 @@ func TestSweepStoreHitSkipsSimulation(t *testing.T) {
 	if warm[0].Throughput != 123456789 {
 		t.Fatalf("warm sweep re-simulated instead of serving the store: throughput %v (cold %v)",
 			warm[0].Throughput, cold[0].Throughput)
+	}
+}
+
+// TestUnencodableSpecFailsBeforeSimulating: with a store attached, a spec
+// that does not marshal has no content key. The Runner reports it before
+// touching the store or simulating, instead of simulating a result it
+// cannot store.
+func TestUnencodableSpecFailsBeforeSimulating(t *testing.T) {
+	st := newMemStore()
+	r := Runner{Store: st}
+	sw := scenarioGoldenCells()[0]
+	sw.Scenario.Phases[0].KeyShift = math.NaN() // JSON has no NaN
+	if _, err := r.RunScenario(sw); err == nil || !strings.Contains(err.Error(), "encoding spec") {
+		t.Fatalf("err = %v, want a spec-encoding error", err)
+	}
+	if st.lookups != 0 || st.puts != 0 {
+		t.Fatalf("store traffic %d lookups / %d puts, want none", st.lookups, st.puts)
 	}
 }

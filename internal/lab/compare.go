@@ -19,7 +19,7 @@ import (
 // addresses) still align on CellKey, which is what makes cross-run A/B
 // comparison possible.
 type CellKey struct {
-	Kind      string // KindTrial or KindScenario
+	Kind      string // bench.KindTrial or bench.KindScenario
 	DS        string
 	Scheme    string
 	Threads   int
@@ -42,7 +42,7 @@ type CellKey struct {
 func (k CellKey) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s/%s t=%d", k.DS, k.Scheme, k.Threads)
-	if k.Kind == KindScenario {
+	if k.Kind == bench.KindScenario {
 		fmt.Fprintf(&b, " sc=%s", k.Scenario)
 	} else {
 		fmt.Fprintf(&b, " u=%d ops=%d", k.UpdatePct, k.Ops)
@@ -151,17 +151,17 @@ func normDist(d string) string {
 
 // cellKeyOf derives the cell coordinates of one entry.
 func cellKeyOf(e SpecEntry) CellKey {
-	if e.Kind == KindScenario {
+	if e.Kind == bench.KindScenario {
 		sw := e.Scenario
 		return CellKey{
-			Kind: KindScenario, DS: sw.DS, Scheme: sw.Scheme, Threads: sw.Threads,
+			Kind: bench.KindScenario, DS: sw.DS, Scheme: sw.Scheme, Threads: sw.Threads,
 			KeyRange: sw.KeyRange, Dist: normDist(sw.Dist), Scenario: sw.Scenario.Name,
 			Variant: variantOf(bench.EffectiveBuckets(sw.DS, sw.Buckets), sw.Check, 0, sw.Slack, sw.SMR, sw.Cache, &sw.Scenario),
 		}
 	}
 	w := e.Workload
 	return CellKey{
-		Kind: KindTrial, DS: w.DS, Scheme: w.Scheme, Threads: w.Threads,
+		Kind: bench.KindTrial, DS: w.DS, Scheme: w.Scheme, Threads: w.Threads,
 		UpdatePct: w.UpdatePct, KeyRange: w.KeyRange, Ops: w.OpsPerThread, Dist: normDist(w.Dist),
 		Variant: variantOf(bench.EffectiveBuckets(w.DS, w.Buckets), w.Check, w.OpWorkCycles, w.Slack, w.SMR, w.Cache, nil),
 	}

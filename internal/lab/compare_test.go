@@ -55,7 +55,7 @@ func TestCellsGroupReplicas(t *testing.T) {
 	var trialCells, scenarioCells int
 	for _, c := range cells {
 		switch c.Key.Kind {
-		case KindTrial:
+		case bench.KindTrial:
 			trialCells++
 			if c.Stats.Count != 3 {
 				t.Errorf("cell %s has %d replicas, want 3", c.Key, c.Stats.Count)
@@ -66,7 +66,7 @@ func TestCellsGroupReplicas(t *testing.T) {
 			if len(c.Seeds) != 3 || c.Seeds[0] >= c.Seeds[1] {
 				t.Errorf("cell %s seeds not ordered: %v", c.Key, c.Seeds)
 			}
-		case KindScenario:
+		case bench.KindScenario:
 			scenarioCells++
 			if c.Key.Scenario != "read-burst" {
 				t.Errorf("scenario cell lost its name: %+v", c.Key)
@@ -162,11 +162,11 @@ func TestSnapshotCellsRefusesMixedTags(t *testing.T) {
 	if _, err := SnapshotCells(st); err != nil {
 		t.Fatalf("single-tag store refused: %v", err)
 	}
-	old, err := openTagged(dir, "0000deadbeef0000", false)
+	old, err := openTagged(dir, "0000deadbeef0000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := old.StoreTrial(w, res); err != nil {
+	if err := putTrial(old, w, res); err != nil {
 		t.Fatal(err)
 	}
 	if err := old.Close(); err != nil {
@@ -188,7 +188,7 @@ func TestSnapshotCellsRefusesMixedTags(t *testing.T) {
 // cells land in the only-one-side lists.
 func TestDiffAlignsAndFlagSignificance(t *testing.T) {
 	key := func(scheme string) CellKey {
-		return CellKey{Kind: KindTrial, DS: "list", Scheme: scheme, Threads: 2, UpdatePct: 100, KeyRange: 64, Ops: 80}
+		return CellKey{Kind: bench.KindTrial, DS: "list", Scheme: scheme, Threads: 2, UpdatePct: 100, KeyRange: 64, Ops: 80}
 	}
 	cell := func(scheme string, xs ...float64) Cell {
 		return Cell{Key: key(scheme), Throughputs: xs, Stats: bench.Summarize(xs)}

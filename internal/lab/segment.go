@@ -1,11 +1,9 @@
-// The packed store format. A loose store pays one open/read/parse per warm
-// lookup and one temp-file + rename per put — O(trials) filesystem work on
-// every re-run of a large sweep. The packed format amortizes both sides:
-// entries append to a handful of segment files (segments/NNNN.pack) as
-// length-prefixed, checksummed records, an in-memory index maps content key
-// to (segment, offset, length) so a warm lookup is a map probe plus one
-// ReadAt, and a sidecar index file persists the map so reopening a store
-// never rescans segment bytes it already indexed.
+// The store's on-disk format. Entries append to a handful of segment files
+// (segments/NNNN.pack) as length-prefixed, checksummed records, an
+// in-memory index maps content key to (segment, offset, length) so a warm
+// lookup is a map probe plus one ReadAt, and a sidecar index file persists
+// the map so reopening a store never rescans segment bytes it already
+// indexed.
 //
 // Durability is layered so nothing is ever trusted ahead of its bytes:
 //
@@ -25,7 +23,6 @@ package lab
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -290,16 +287,18 @@ func (s *Store) writeSidecar() error {
 		return fmt.Errorf("lab: %w", err)
 	}
 	s.opens.Add(1)
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Close()
-		if err == nil {
-			return os.Rename(tmp.Name(), s.sidecarPath())
-		}
-	} else {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	os.Remove(tmp.Name())
-	return fmt.Errorf("lab: writing index sidecar: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.sidecarPath())
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("lab: writing index sidecar: %w", err)
+	}
+	return nil
 }
 
 // loadSidecar reads the sidecar into the in-memory index. A missing
@@ -412,7 +411,7 @@ func (s *Store) dropSegmentEntriesLocked(seg int) {
 // newly-appeared segment files are opened and scanned, and segments that
 // grew past their covered prefix are scanned from there. Lookups never
 // refresh (the point of the index is to avoid per-trial filesystem work);
-// whole-store operations — Entries, Verify, GC, Pack — do, so they see
+// whole-store operations — Entries, Verify, GC, Merge — do, so they see
 // every durable record, including ones another handle flushed.
 func (s *Store) refresh() error {
 	segs, err := s.listSegments()
@@ -475,7 +474,7 @@ func (s *Store) refresh() error {
 			s.mu.Unlock()
 		}
 	}
-	// Entries whose segment vanished (another handle's gc/pack) can no
+	// Entries whose segment vanished (another handle's gc) can no
 	// longer serve reads; drop them so lookups fall through cleanly.
 	live := map[int]bool{}
 	for _, seg := range segs {
@@ -499,9 +498,12 @@ func (s *Store) refresh() error {
 	return nil
 }
 
-// readRecord fetches and validates one packed record: a single ReadAt plus
-// an in-memory checksum check. The returned payload is the envelope JSON.
-func (s *Store) readRecord(loc recLoc) ([]byte, error) {
+// readRecord fetches and validates the record for key at loc: a single
+// ReadAt plus an in-memory checksum check, and the frame's own key must be
+// key — a stale or tampered sidecar that points one key at another key's
+// record yields a bad record, never the other key's result. The returned
+// payload is the envelope JSON.
+func (s *Store) readRecord(key string, loc recLoc) ([]byte, error) {
 	s.mu.RLock()
 	f := s.readers[loc.seg]
 	s.mu.RUnlock()
@@ -512,9 +514,12 @@ func (s *Store) readRecord(loc recLoc) ([]byte, error) {
 	if _, err := f.ReadAt(buf, loc.off); err != nil {
 		return nil, fmt.Errorf("lab: reading record: %w", err)
 	}
-	_, payload, err := parseRecord(buf)
+	got, payload, err := parseRecord(buf)
 	if err != nil {
 		return nil, err
+	}
+	if got != key {
+		return nil, fmt.Errorf("lab: record at %s@%d holds key %s, not %s", segmentName(loc.seg), loc.off, got, key)
 	}
 	return payload, nil
 }
@@ -615,33 +620,24 @@ func (s *Store) RebuildIndex() (entries, segments int, err error) {
 	return entries, len(segs), nil
 }
 
-// packRec is one (key, envelope payload) pair bound for a compacted
-// segment.
-type packRec struct {
-	key     string
-	payload []byte
-}
-
-// compactSegments rewrites the store's packed layout: every current index
-// winner plus the extra records are written to one fresh segment, every old
-// segment file is removed, and the sidecar is rewritten. Superseded records
-// (heals, overwrites) and crash-truncated tails vanish in the rewrite.
-// Callers must have flushed and refreshed. Compaction assumes the usual
-// maintenance contract: no other handle is writing the store concurrently.
-func (s *Store) compactSegments(extra []packRec) error {
-	recs := extra
-	for _, key := range s.indexKeys() {
-		s.mu.RLock()
-		loc, ok := s.index[key]
-		s.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		payload, err := s.readRecord(loc)
+// compactSegments rewrites the store: every current index winner is
+// written to one fresh segment, every old segment file is removed, and the
+// sidecar is rewritten. Superseded records (heals, overwrites) and
+// crash-truncated tails vanish in the rewrite. Callers must have flushed
+// and refreshed. Compaction assumes the usual maintenance contract: no
+// other handle is writing the store concurrently.
+func (s *Store) compactSegments() error {
+	type rec struct {
+		key     string
+		payload []byte
+	}
+	var recs []rec
+	for _, r := range s.indexed() {
+		payload, err := s.readRecord(r.key, r.loc)
 		if err != nil {
 			continue // unreadable record: dropped by the rewrite
 		}
-		recs = append(recs, packRec{key: key, payload: payload})
+		recs = append(recs, rec{r.key, payload})
 	}
 
 	oldSegs, err := s.listSegments()
@@ -708,59 +704,4 @@ func (s *Store) compactSegments(extra []packRec) error {
 		}
 	}
 	return s.writeSidecar()
-}
-
-// Pack converts and compacts the store in place: every sound loose object
-// is folded into the packed layout alongside the current packed records,
-// loose files are removed, and the whole keyspace lands in one fresh
-// segment behind a freshly written sidecar. A warm sweep over a packed
-// store opens O(1) files however many trials it serves. It returns the
-// number of packed entries and the number of loose files converted.
-func (s *Store) Pack() (packed, loose int, err error) {
-	if err := s.Flush(); err != nil {
-		return 0, 0, err
-	}
-	if err := s.refresh(); err != nil {
-		return 0, 0, err
-	}
-
-	// Loose entries whose key the index doesn't hold become extra records;
-	// loose files the index shadows are dropped (the packed copy is newer).
-	// Corrupt loose files stay where Verify can report them.
-	var extras []packRec
-	var loosePaths []string
-	err = s.walk(func(path string) error {
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil
-		}
-		s.opens.Add(1)
-		key := strings.TrimSuffix(filepath.Base(path), ".json")
-		if _, verr := verifyPayload(key, data); verr != nil {
-			return nil
-		}
-		loosePaths = append(loosePaths, path)
-		s.mu.RLock()
-		_, shadowed := s.index[key]
-		s.mu.RUnlock()
-		if !shadowed {
-			extras = append(extras, packRec{key: key, payload: bytes.TrimSpace(data)})
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := s.compactSegments(extras); err != nil {
-		return 0, 0, err
-	}
-	for _, path := range loosePaths {
-		if err := os.Remove(path); err != nil {
-			return 0, 0, fmt.Errorf("lab: removing loose entry: %w", err)
-		}
-	}
-	s.mu.RLock()
-	packed = len(s.index)
-	s.mu.RUnlock()
-	return packed, len(loosePaths), nil
 }

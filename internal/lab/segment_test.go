@@ -1,6 +1,8 @@
 package lab
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -52,7 +54,7 @@ func TestStoreStatsString(t *testing.T) {
 // TestTruncatedTailRecovers simulates a crash mid-flush: every segment loses
 // its final byte. The truncated tail record must be ignored (not served, not
 // fatal), its lookups must miss, re-running must heal the store in place,
-// and Pack must drop the crash residue for good.
+// and GC must drop the crash residue for good.
 func TestTruncatedTailRecovers(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -123,21 +125,21 @@ func TestTruncatedTailRecovers(t *testing.T) {
 		t.Fatalf("heal traffic %+v, want %d misses / %d hits", stats, len(segs), trials-len(segs))
 	}
 	for seed := uint64(1); seed <= trials; seed++ {
-		if _, ok := st2.LookupTrial(trialW(seed)); !ok {
+		if _, ok := lookupTrial(st2, trialW(seed)); !ok {
 			t.Fatalf("seed %d still missing after heal", seed)
 		}
 	}
 
-	// Pack drops the garbage tails; the store verifies clean.
-	if packed, _, err := st2.Pack(); err != nil || packed != trials {
-		t.Fatalf("pack: %d entries (err %v), want %d", packed, err, trials)
+	// GC compacts away the garbage tails; the store verifies clean.
+	if removed, kept, err := st2.GC(false); err != nil || removed != 0 || kept != trials {
+		t.Fatalf("gc: removed %d kept %d (err %v), want 0/%d", removed, kept, err, trials)
 	}
 	sound, problems, err := st2.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sound != trials || len(problems) != 0 {
-		t.Fatalf("after pack: %d sound, %d problems, want %d/0", sound, len(problems), trials)
+		t.Fatalf("after gc: %d sound, %d problems, want %d/0", sound, len(problems), trials)
 	}
 }
 
@@ -240,7 +242,8 @@ func TestConcurrentKeyedAppendsAndReads(t *testing.T) {
 			for g := 0; g < workers; g++ {
 				for i := 0; i < per; i++ {
 					ps := &bench.PreparedSpec{Spec: spec(g, i)}
-					if res, ok := st.LookupTrialSpec(ps); ok && res.Throughput != float64(g*per+i) {
+					var res bench.Result
+					if ok := st.Lookup(bench.KindTrial, ps, &res); ok && res.Throughput != float64(g*per+i) {
 						t.Errorf("worker %d trial %d: read tore: %+v", g, i, res)
 						return
 					}
@@ -256,13 +259,14 @@ func TestConcurrentKeyedAppendsAndReads(t *testing.T) {
 			for i := 0; i < per; i++ {
 				ps := &bench.PreparedSpec{Spec: spec(g, i)}
 				want := bench.Result{Throughput: float64(g*per + i)}
-				if err := st.StoreTrialSpec(ps, want); err != nil {
+				if err := st.Put(bench.KindTrial, ps, want); err != nil {
 					t.Error(err)
 					return
 				}
 				// The writing handle must see its own put immediately, even
 				// while it is still buffered.
-				if got, ok := st.LookupTrialSpec(ps); !ok || got.Throughput != want.Throughput {
+				var got bench.Result
+				if ok := st.Lookup(bench.KindTrial, ps, &got); !ok || got.Throughput != want.Throughput {
 					t.Errorf("worker %d trial %d: own put invisible (ok=%v)", g, i, ok)
 					return
 				}
@@ -336,7 +340,7 @@ func TestWarmPackedSweepOpensNoFiles(t *testing.T) {
 }
 
 // segmentsOn lists segment files under dir.
-func segmentsOn(t *testing.T, dir string) []string {
+func segmentsOn(t testing.TB, dir string) []string {
 	t.Helper()
 	m, err := filepath.Glob(filepath.Join(dir, "segments", "*.pack"))
 	if err != nil {
@@ -380,7 +384,7 @@ func TestRebuildIndexMatchesScan(t *testing.T) {
 		t.Fatalf("rebuild: %d entries / %d segments, want %d entries", entries, segments, trials)
 	}
 	for seed := uint64(1); seed <= trials; seed++ {
-		if _, ok := st2.LookupTrial(trialW(seed)); !ok {
+		if _, ok := lookupTrial(st2, trialW(seed)); !ok {
 			t.Fatalf("seed %d unreachable after rebuild", seed)
 		}
 	}
@@ -401,57 +405,134 @@ func TestRebuildIndexMatchesScan(t *testing.T) {
 	}
 }
 
-// TestMixedLayoutLookupAndGC: a store holding both loose and packed entries
-// must serve lookups from both, prefer the packed copy, and gc both layouts.
+// TestMixedLayoutLookupAndGC: a store directory that still holds a loose
+// objects/ tree from a pre-pack binary is served from its segments alone.
+// The leftover tree is ignored — never served, never counted by GC or
+// Verify, never touched — while GC still collects foreign-tag records.
 func TestMixedLayoutLookupAndGC(t *testing.T) {
 	dir := t.TempDir()
-	loose, err := OpenLoose(dir)
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bench.Runner{Store: loose}
-	if _, err := r.Run(trialW(1)); err != nil {
+	r := bench.Runner{Store: st}
+	if _, err := r.Run(trialW(2)); err != nil {
 		t.Fatal(err)
 	}
-
-	packed, err := Open(dir)
+	// A loose entry for trialW(1), shaped as a pre-pack binary wrote it.
+	spec, err := bench.TrialSpecBytes(trialW(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := bench.Runner{Store: packed}
-	if _, ok := packed.LookupTrial(trialW(1)); !ok {
-		t.Fatal("packed handle cannot read the loose entry")
-	}
-	if _, err := rp.Run(trialW(2)); err != nil {
-		t.Fatal(err)
-	}
-	// A foreign-tag packed entry, to be collected.
-	old, err := openTagged(dir, "0000deadbeef0000", false)
+	k := key(st.Tag(), bench.KindTrial, spec)
+	result := []byte(`{"Throughput":1}`)
+	env, err := json.Marshal(envelope{Tag: st.Tag(), Kind: bench.KindTrial, Spec: spec, Sum: payloadSum(result), Result: result})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := old.StoreTrial(trialW(3), bench.Result{}); err != nil {
+	leftover := filepath.Join(dir, "objects", k[:2], k+".json")
+	if err := os.MkdirAll(filepath.Dir(leftover), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(leftover, env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A foreign-tag record, to be collected.
+	old, err := openTagged(dir, "0000deadbeef0000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := putTrial(old, trialW(3), bench.Result{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	removed, kept, err := packed.GC(false)
+	if _, ok := lookupTrial(st, trialW(1)); ok {
+		t.Fatal("loose leftover served as a hit")
+	}
+	if sound, problems, err := st.Verify(); err != nil || sound != 2 || len(problems) != 0 {
+		t.Fatalf("verify: %d sound, %v problems (err %v), want 2 segment records and no problems", sound, problems, err)
+	}
+	removed, kept, err := st.GC(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 1 || kept != 2 {
-		t.Fatalf("gc removed %d kept %d, want 1/2 (foreign packed gone, loose+current kept)", removed, kept)
+	if removed != 1 || kept != 1 {
+		t.Fatalf("gc removed %d kept %d, want 1/1 (foreign record gone, loose tree not counted)", removed, kept)
 	}
-	if _, ok := packed.LookupTrial(trialW(1)); !ok {
-		t.Fatal("loose survivor lost after gc")
+	if _, ok := lookupTrial(st, trialW(2)); !ok {
+		t.Fatal("current-tag record lost after gc")
 	}
-	if _, ok := packed.LookupTrial(trialW(2)); !ok {
-		t.Fatal("packed survivor lost after gc")
-	}
-	if err := packed.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(leftover); err != nil || string(got) != string(env) {
+		t.Fatalf("leftover loose entry touched (err %v)", err)
+	}
+}
+
+// TestSwappedSidecarEntriesMiss: a stale or tampered sidecar that points one
+// key at another key's record must not serve the other key's result. The
+// lookup misses, the trial re-simulates, and the write-through heals the
+// index.
+func TestSwappedSidecarEntriesMiss(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{1, 2} {
+		if err := putTrial(st, trialW(seed), bench.Result{Throughput: float64(seed)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	keyOf := func(w bench.Workload) string {
+		spec, err := bench.TrialSpecBytes(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key(st.Tag(), bench.KindTrial, spec)
+	}
+	k1, k2 := keyOf(trialW(1)), keyOf(trialW(2))
+	side := filepath.Join(dir, "segments", "index.json")
+	data, err := os.ReadFile(side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc sidecar
+	if err := json.Unmarshal(data, &sc); err != nil {
+		t.Fatal(err)
+	}
+	sc.Entries[k1], sc.Entries[k2] = sc.Entries[k2], sc.Entries[k1]
+	if data, err = json.Marshal(sc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(side, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if res, ok := lookupTrial(st2, trialW(1)); ok {
+		t.Fatalf("swapped sidecar served trial 1 as a hit with throughput %v", res.Throughput)
+	}
+	// The Runner's miss path re-simulates and the put repoints the index.
+	r := bench.Runner{Store: st2}
+	want, err := r.Run(trialW(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := lookupTrial(st2, trialW(1)); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("trial 1 not healed (ok=%v)", ok)
 	}
 }
 
@@ -563,18 +644,18 @@ func TestOversizedRecordRejectedAtWriteTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.StoreTrial(trialW(1), bench.Result{Throughput: 1}); err != nil {
+	if err := putTrial(st, trialW(1), bench.Result{Throughput: 1}); err != nil {
 		t.Fatal(err)
 	}
 	big := trialW(2)
 	big.DS = "list" + strings.Repeat("x", 8192)
-	if err := st.StoreTrial(big, bench.Result{}); err == nil || !strings.Contains(err.Error(), "frame limit") {
-		t.Fatalf("StoreTrial(oversized) err = %v, want frame-limit error", err)
+	if err := putTrial(st, big, bench.Result{}); err == nil || !strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("Put(oversized) err = %v, want frame-limit error", err)
 	}
-	if _, ok := st.LookupTrial(big); ok {
+	if _, ok := lookupTrial(st, big); ok {
 		t.Fatal("rejected oversized entry still served from the pending overlay")
 	}
-	if err := st.StoreTrial(trialW(3), bench.Result{Throughput: 3}); err != nil {
+	if err := putTrial(st, trialW(3), bench.Result{Throughput: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -588,13 +669,13 @@ func TestOversizedRecordRejectedAtWriteTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if _, ok := st2.LookupTrial(trialW(1)); !ok {
+	if _, ok := lookupTrial(st2, trialW(1)); !ok {
 		t.Error("record before the rejected put is gone")
 	}
-	if _, ok := st2.LookupTrial(trialW(3)); !ok {
+	if _, ok := lookupTrial(st2, trialW(3)); !ok {
 		t.Error("record after the rejected put is gone")
 	}
-	if _, ok := st2.LookupTrial(big); ok {
+	if _, ok := lookupTrial(st2, big); ok {
 		t.Error("oversized entry present after reopen")
 	}
 	sound, problems, err := st2.Verify()
@@ -604,4 +685,82 @@ func TestOversizedRecordRejectedAtWriteTime(t *testing.T) {
 	if sound != 2 || len(problems) != 0 {
 		t.Errorf("Verify = %d sound, %v problems; want 2 sound, none", sound, problems)
 	}
+}
+
+// FuzzScanSegment fuzzes the frame decoder, the only path from disk bytes
+// to a served record. On arbitrary input the scan must not panic; it must
+// visit a contiguous run of records from the first byte and stop exactly at
+// the first frame that does not decode; and every payload it visits must
+// re-frame to exactly the bytes it was read from.
+func FuzzScanSegment(f *testing.F) {
+	// A small frame bound keeps a corrupt length field from allocating a
+	// gigabyte per input; the scan logic under test is unchanged.
+	old := maxRecordLen
+	maxRecordLen = 1 << 16
+	f.Cleanup(func() { maxRecordLen = old })
+
+	dir := f.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		if err := putTrial(st, trialW(seed), bench.Result{Throughput: float64(seed)}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range segmentsOn(f, dir) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+		flipped := append([]byte(nil), data...)
+		flipped[recHeaderLen+recKeyLen] ^= 0x01
+		f.Add(flipped)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var next int64
+		end, err := scanSegment(bytes.NewReader(data), 0, func(key string, loc recLoc, payload []byte) error {
+			if loc.off != next {
+				t.Fatalf("visited a record at %d, want the next one at %d", loc.off, next)
+			}
+			frame := data[loc.off : loc.off+int64(loc.n)]
+			again, err := frameRecord(nil, key, payload)
+			if err != nil || !bytes.Equal(again, frame) {
+				t.Fatalf("record at %d does not re-frame to its bytes (err %v)", loc.off, err)
+			}
+			next = loc.off + int64(loc.n)
+			return nil
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end != next {
+			t.Fatalf("scan ended at %d, last visited record ended at %d", end, next)
+		}
+		if frameAt(data, end) {
+			t.Fatalf("scan stopped at %d before a sound frame", end)
+		}
+	})
+}
+
+// frameAt reports whether a complete, sound frame starts at data[off:].
+func frameAt(data []byte, off int64) bool {
+	rest := data[off:]
+	if len(rest) < recHeaderLen {
+		return false
+	}
+	n := int(binary.BigEndian.Uint32(rest[:4]))
+	if n < recKeyLen || n > maxRecordLen || len(rest) < recHeaderLen+n {
+		return false
+	}
+	_, _, err := parseRecord(rest[:recHeaderLen+n])
+	return err == nil
 }

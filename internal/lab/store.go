@@ -7,11 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,33 +18,21 @@ import (
 	"condaccess/internal/obs"
 )
 
-// Entry kinds, also the on-disk envelope discriminator.
-const (
-	KindTrial    = "trial"
-	KindScenario = "scenario"
-)
-
 // Store is an on-disk, content-addressed trial store. Every entry is keyed
 // by key = SHA-256(engine tag, kind, canonical spec): the name is the
 // content address of the spec, so integrity is checkable offline and two
 // stores can be diffed by coordinates without sharing any state.
 //
-// Two coexisting layouts back the same keyspace:
-//
-//   - Packed (the write path): append-only segment files under segments/
-//     holding length-prefixed, checksummed records, plus an in-memory
-//     index loaded once per Open from a sidecar (segment.go). A warm
-//     lookup is a map probe and one ReadAt; puts buffer per stripe and
-//     flush in batches with one fsync per flush.
-//   - Loose (the historical layout): one self-describing JSON file per
-//     entry under objects/<kk>/<key>.json, written by pre-pack binaries
-//     (and by OpenLoose handles). Lookups consult the index first and fall
-//     back to the loose probe, so old stores keep serving without
-//     conversion; `calab pack` converts them in place.
+// Entries live in append-only segment files under segments/ holding
+// length-prefixed, checksummed records, plus an in-memory index loaded once
+// per Open from a sidecar (segment.go). A warm lookup is a map probe and
+// one ReadAt; puts buffer per stripe and flush in batches with one fsync
+// per flush. A leftover file-per-entry tree from a pre-pack binary is
+// ignored: its entries were written under an older engine tag, so none of
+// them could be served, and it may be deleted by hand.
 type Store struct {
-	dir   string
-	tag   string
-	loose bool // write loose objects instead of packed segments (OpenLoose)
+	dir string
+	tag string
 
 	mu      sync.RWMutex
 	index   map[string]recLoc // content key -> flushed packed record
@@ -63,7 +49,7 @@ type Store struct {
 	opens  atomic.Uint64 // file opens; warm packed sweeps keep this O(segments)
 
 	// Write-back durability counters (segment.go): batched flushes, bytes
-	// made durable (segment flushes and loose entry writes), and the time
+	// made durable by segment flushes, and the time
 	// spent inside flushes (fsync included) and loading the index at Open.
 	flushes        atomic.Uint64
 	bytesWritten   atomic.Uint64
@@ -79,12 +65,8 @@ type Store struct {
 	OnFlush func(records, bytes int)
 }
 
-// Store implements the harness's read-through/write-through contract,
-// including the keyed fast path.
-var (
-	_ bench.TrialStore      = (*Store)(nil)
-	_ bench.KeyedTrialStore = (*Store)(nil)
-)
+// Store implements the harness's read-through/write-through contract.
+var _ bench.TrialStore = (*Store)(nil)
 
 // writeStripes is the number of append buffers puts are striped across:
 // enough that pool workers rarely contend on one buffer's lock, few enough
@@ -97,23 +79,15 @@ const writeStripes = 4
 // index is loaded here, once: the sidecar if it is current, plus a scan of
 // whatever segment bytes it does not cover.
 func Open(dir string) (*Store, error) {
-	return openTagged(dir, bench.EngineTag(), false)
+	return openTagged(dir, bench.EngineTag())
 }
 
-// OpenLoose opens the store with the historical loose-object write path:
-// every put is its own temp-file + rename under objects/. Packed segments
-// are still read. It exists for benchmarking the two layouts against each
-// other and for producing stores shaped like pre-pack binaries left them.
-func OpenLoose(dir string) (*Store, error) {
-	return openTagged(dir, bench.EngineTag(), true)
-}
-
-func openTagged(dir, tag string, loose bool) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+func openTagged(dir, tag string) (*Store, error) {
+	if err := os.MkdirAll(filepath.Join(dir, "segments"), 0o755); err != nil {
 		return nil, fmt.Errorf("lab: opening store: %w", err)
 	}
 	s := &Store{
-		dir: dir, tag: tag, loose: loose,
+		dir: dir, tag: tag,
 		index:   map[string]recLoc{},
 		pending: map[string][]byte{},
 		readers: map[int]*os.File{},
@@ -135,12 +109,38 @@ func openTagged(dir, tag string, loose bool) (*Store, error) {
 // (calab) use this so a mistyped path fails loudly instead of silently
 // materializing an empty store and reporting zero entries.
 func OpenExisting(dir string) (*Store, error) {
-	if _, err := os.Stat(filepath.Join(dir, "objects")); err != nil {
-		if _, serr := os.Stat(filepath.Join(dir, "segments")); serr != nil {
-			return nil, fmt.Errorf("lab: %s is not a result store (no objects/ or segments/ directory): %w", dir, err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "segments")); err != nil {
+		return nil, fmt.Errorf("lab: %s is not a result store (no segments/ directory): %w", dir, err)
 	}
 	return Open(dir)
+}
+
+// OpenForRun opens the store at dir for one command's run and returns it
+// with the finish function the caller defers: finish(&err) closes the
+// store, records its traffic on rec, and prints the stats line to stderr
+// only when the run succeeded, so a failure stays one stderr line. Close
+// always runs — a failed run must not lose the batched segment writes of
+// the trials that did complete — and the run's own error wins over a close
+// error. With dir empty there is no store: the TrialStore is a nil
+// interface and finish does nothing.
+func OpenForRun(dir string, rec *obs.Rec, stderr io.Writer) (bench.TrialStore, func(*error), error) {
+	if dir == "" {
+		return nil, func(*error) {}, nil
+	}
+	st, err := Open(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.OnFlush = rec.StoreFlushed
+	return st, func(err *error) {
+		if cerr := st.Close(); *err == nil {
+			*err = cerr
+		}
+		rec.SetStore(st.Stats().Rollup())
+		if *err == nil {
+			fmt.Fprintln(stderr, st.Stats())
+		}
+	}, nil
 }
 
 // Dir returns the store's root directory.
@@ -152,7 +152,7 @@ func (s *Store) Tag() string { return s.tag }
 // StoreStats counts this handle's store traffic. After a fully warm sweep,
 // Misses, Puts, Flushes, and BytesWritten are zero: every trial came from
 // the store and none was simulated or written back. Opens counts file opens
-// — a warm packed sweep holds it at O(segments) however many trials it
+// — a warm sweep holds it at O(segments) however many trials it
 // serves. The nanosecond fields time the durability work itself: flushes
 // (FsyncNanos is the fsync share of FlushNanos) and the one-time index load
 // at Open.
@@ -163,7 +163,7 @@ type StoreStats struct {
 	Opens  uint64
 
 	Flushes      uint64 // durable write-back batches (one fsync each)
-	BytesWritten uint64 // bytes made durable (segment flushes + loose writes)
+	BytesWritten uint64 // bytes made durable by segment flushes
 
 	FlushNanos     int64
 	FsyncNanos     int64
@@ -223,8 +223,8 @@ func formatBytes(n uint64) string {
 	return fmt.Sprintf("%d B", n)
 }
 
-// envelope is the entry payload format, shared by both layouts (a packed
-// record's payload is exactly a loose file's contents). Spec and Result are
+// envelope is the entry payload format: a segment record's payload is one
+// envelope's JSON. Spec and Result are
 // the canonical serialized forms verbatim; Sum fingerprints Result so a
 // lookup (and Verify) can detect payload corruption.
 type envelope struct {
@@ -252,14 +252,11 @@ func payloadSum(payload []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, "objects", key[:2], key+".json")
-}
-
-// loadKey fetches the envelope payload for key, trying the in-process
-// overlay of unflushed puts, then the packed index (one ReadAt), then the
-// loose layout (one file read). It returns nil when the key is absent or
-// its bytes fail their checksums.
+// loadKey fetches the envelope payload for key from the in-process overlay
+// of unflushed puts, else from the index (one ReadAt). It returns nil when
+// the key is absent or its record is bad (bitrot, a stale sidecar pointing
+// at another key's record); the lookup then misses, and the write-through
+// heals by appending a fresh record.
 func (s *Store) loadKey(key string) []byte {
 	s.mu.RLock()
 	data, buffered := s.pending[key]
@@ -268,27 +265,14 @@ func (s *Store) loadKey(key string) []byte {
 	if buffered {
 		return data
 	}
-	if indexed {
-		if payload, err := s.readRecord(loc); err == nil {
-			return payload
-		}
-		// A bad record (bitrot, lineage mismatch) falls through to the
-		// loose probe; a miss re-simulates and heals.
+	if !indexed {
+		return nil
 	}
-	payload, err := s.readLoose(key)
+	payload, err := s.readRecord(key, loc)
 	if err != nil {
 		return nil
 	}
 	return payload
-}
-
-// readLoose reads a loose entry file's raw contents.
-func (s *Store) readLoose(key string) ([]byte, error) {
-	data, err := os.ReadFile(s.path(key))
-	if err == nil {
-		s.opens.Add(1)
-	}
-	return data, err
 }
 
 // lookupKey reads the entry at key into out. Any defect — missing record,
@@ -313,9 +297,8 @@ func (s *Store) lookupKey(kind, key string, out any) bool {
 	return true
 }
 
-// putKey writes the entry for (kind, spec) under its precomputed key: a
-// buffered segment append on the packed path, an atomic loose file write on
-// an OpenLoose handle.
+// putKey writes the entry for (kind, spec) under its precomputed key as a
+// buffered segment append.
 func (s *Store) putKey(kind string, spec []byte, key string, res any) error {
 	payload, err := json.Marshal(res)
 	if err != nil {
@@ -331,48 +314,6 @@ func (s *Store) putKey(kind string, spec []byte, key string, res any) error {
 	return s.putPayload(key, data)
 }
 
-// putLoose writes one loose entry file atomically (temp file + rename), so
-// concurrent writers and interrupted runs never leave a partial entry under
-// a valid name.
-func (s *Store) putLoose(key string, data []byte) error {
-	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("lab: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("lab: %w", err)
-	}
-	s.opens.Add(1)
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("lab: writing entry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("lab: writing entry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("lab: writing entry: %w", err)
-	}
-	s.bytesWritten.Add(uint64(len(data) + 1))
-	return nil
-}
-
-func readEnvelope(path string) (envelope, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return envelope{}, err
-	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return envelope{}, err
-	}
-	return env, nil
-}
-
 // specKeyOf resolves a prepared spec's memoized content key, deriving and
 // caching it on first use so the write-through after a miss never re-hashes.
 func (s *Store) specKeyOf(kind string, ps *bench.PreparedSpec) string {
@@ -382,65 +323,15 @@ func (s *Store) specKeyOf(kind string, ps *bench.PreparedSpec) string {
 	return ps.Key
 }
 
-// LookupTrialSpec implements bench.KeyedTrialStore: the spec is already
-// canonicalized, and the derived key is memoized on ps for the put.
-func (s *Store) LookupTrialSpec(ps *bench.PreparedSpec) (bench.Result, bool) {
-	var res bench.Result
-	return res, s.lookupKey(KindTrial, s.specKeyOf(KindTrial, ps), &res)
+// Lookup implements bench.TrialStore: it decodes the entry for (kind,
+// ps.Spec) into out, memoizing the derived key on ps for the put.
+func (s *Store) Lookup(kind string, ps *bench.PreparedSpec, out any) bool {
+	return s.lookupKey(kind, s.specKeyOf(kind, ps), out)
 }
 
-// StoreTrialSpec implements bench.KeyedTrialStore.
-func (s *Store) StoreTrialSpec(ps *bench.PreparedSpec, res bench.Result) error {
-	return s.putKey(KindTrial, ps.Spec, s.specKeyOf(KindTrial, ps), res)
-}
-
-// LookupScenarioSpec implements bench.KeyedTrialStore.
-func (s *Store) LookupScenarioSpec(ps *bench.PreparedSpec) (bench.ScenarioResult, bool) {
-	var res bench.ScenarioResult
-	return res, s.lookupKey(KindScenario, s.specKeyOf(KindScenario, ps), &res)
-}
-
-// StoreScenarioSpec implements bench.KeyedTrialStore.
-func (s *Store) StoreScenarioSpec(ps *bench.PreparedSpec, res bench.ScenarioResult) error {
-	return s.putKey(KindScenario, ps.Spec, s.specKeyOf(KindScenario, ps), res)
-}
-
-// LookupTrial implements bench.TrialStore.
-func (s *Store) LookupTrial(w bench.Workload) (bench.Result, bool) {
-	spec, err := bench.TrialSpecBytes(w)
-	if err != nil {
-		s.misses.Add(1)
-		return bench.Result{}, false
-	}
-	return s.LookupTrialSpec(&bench.PreparedSpec{Spec: spec})
-}
-
-// StoreTrial implements bench.TrialStore.
-func (s *Store) StoreTrial(w bench.Workload, res bench.Result) error {
-	spec, err := bench.TrialSpecBytes(w)
-	if err != nil {
-		return fmt.Errorf("lab: encoding trial spec: %w", err)
-	}
-	return s.StoreTrialSpec(&bench.PreparedSpec{Spec: spec}, res)
-}
-
-// LookupScenario implements bench.TrialStore.
-func (s *Store) LookupScenario(sw bench.ScenarioWorkload) (bench.ScenarioResult, bool) {
-	spec, err := bench.ScenarioSpecBytes(sw)
-	if err != nil {
-		s.misses.Add(1)
-		return bench.ScenarioResult{}, false
-	}
-	return s.LookupScenarioSpec(&bench.PreparedSpec{Spec: spec})
-}
-
-// StoreScenario implements bench.TrialStore.
-func (s *Store) StoreScenario(sw bench.ScenarioWorkload, res bench.ScenarioResult) error {
-	spec, err := bench.ScenarioSpecBytes(sw)
-	if err != nil {
-		return fmt.Errorf("lab: encoding scenario spec: %w", err)
-	}
-	return s.StoreScenarioSpec(&bench.PreparedSpec{Spec: spec}, res)
+// Put implements bench.TrialStore.
+func (s *Store) Put(kind string, ps *bench.PreparedSpec, res any) error {
+	return s.putKey(kind, ps.Spec, s.specKeyOf(kind, ps), res)
 }
 
 // Entry is one fully decoded store entry. Exactly one of the (Workload,
@@ -467,15 +358,15 @@ type SpecEntry struct {
 	Tag  string
 	Kind string
 
-	Workload *bench.Workload     // KindTrial
-	Scenario *bench.ScenarioSpec // KindScenario
+	Workload *bench.Workload     // bench.KindTrial
+	Scenario *bench.ScenarioSpec // bench.KindScenario
 
 	rawResult json.RawMessage
 }
 
 // Seed returns the entry's spec seed.
 func (e *SpecEntry) Seed() uint64 {
-	if e.Kind == KindScenario {
+	if e.Kind == bench.KindScenario {
 		return e.Scenario.Seed
 	}
 	return e.Workload.Seed
@@ -493,7 +384,7 @@ func (e *SpecEntry) Throughput() float64 {
 // Decode materializes the full entry, result payload included.
 func (e *SpecEntry) Decode() (Entry, error) {
 	full := Entry{Key: e.Key, Tag: e.Tag, Kind: e.Kind, Workload: e.Workload, Scenario: e.Scenario}
-	if e.Kind == KindScenario {
+	if e.Kind == bench.KindScenario {
 		full.ScenarioResult = new(bench.ScenarioResult)
 		if err := json.Unmarshal(e.rawResult, full.ScenarioResult); err != nil {
 			return Entry{}, fmt.Errorf("decoding scenario result: %w", err)
@@ -507,35 +398,6 @@ func (e *SpecEntry) Decode() (Entry, error) {
 	return full, nil
 }
 
-// walk visits every loose entry file under the store in deterministic
-// (sorted path) order.
-func (s *Store) walk(fn func(path string) error) error {
-	root := filepath.Join(s.dir, "objects")
-	var paths []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return nil
-			}
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(path, ".json") {
-			paths = append(paths, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("lab: walking store: %w", err)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if err := fn(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // specEntryOf validates an envelope against its claimed content address and
 // decodes its spec, leaving the result raw.
 func specEntryOf(name string, env envelope) (SpecEntry, error) {
@@ -547,12 +409,12 @@ func specEntryOf(name string, env envelope) (SpecEntry, error) {
 	}
 	e := SpecEntry{Key: name, Tag: env.Tag, Kind: env.Kind, rawResult: env.Result}
 	switch env.Kind {
-	case KindTrial:
+	case bench.KindTrial:
 		e.Workload = new(bench.Workload)
 		if err := json.Unmarshal(env.Spec, e.Workload); err != nil {
 			return SpecEntry{}, fmt.Errorf("decoding trial spec: %w", err)
 		}
-	case KindScenario:
+	case bench.KindScenario:
 		e.Scenario = new(bench.ScenarioSpec)
 		if err := json.Unmarshal(env.Spec, e.Scenario); err != nil {
 			return SpecEntry{}, fmt.Errorf("decoding scenario spec: %w", err)
@@ -563,82 +425,61 @@ func specEntryOf(name string, env envelope) (SpecEntry, error) {
 	return e, nil
 }
 
-// forEachSpecEntry visits every valid entry across both layouts, packed
-// index winners first, then loose files whose key the index doesn't hold
-// (the packed write path is newer than any loose leftover). Corrupt entries
-// are skipped — Verify reports them. Whole-store reads flush and refresh
-// first, so they see every durable record, this handle's and others'.
-func (s *Store) forEachSpecEntry(fn func(SpecEntry)) error {
+// verifyPayload checks one entry payload end to end: the envelope parses,
+// the claimed key matches the content address of (tag, kind, spec), the
+// result payload matches its fingerprint, and the spec decodes under its
+// kind.
+func verifyPayload(name string, payload []byte) (SpecEntry, error) {
+	var env envelope
+	if err := json.Unmarshal(payload, &env); err != nil {
+		return SpecEntry{}, err
+	}
+	return specEntryOf(name, env)
+}
+
+// forEachEntry visits every sound entry in sorted key order, with its raw
+// envelope payload and its spec decoded. It flushes and refreshes first, so
+// whole-store reads see every durable record, this handle's and others'.
+// Corrupt entries are skipped — Verify reports them.
+func (s *Store) forEachEntry(fn func(payload []byte, e SpecEntry) error) error {
 	if err := s.Flush(); err != nil {
 		return err
 	}
 	if err := s.refresh(); err != nil {
 		return err
 	}
-	s.mu.RLock()
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
+	for _, r := range s.indexed() {
+		payload, err := s.readRecord(r.key, r.loc)
+		if err != nil {
+			continue
+		}
+		e, err := verifyPayload(r.key, payload)
+		if err != nil {
+			continue
+		}
+		if err := fn(payload, e); err != nil {
+			return err
+		}
 	}
-	s.mu.RUnlock()
-	sort.Strings(keys)
-	packed := map[string]bool{}
-	for _, k := range keys {
-		s.mu.RLock()
-		loc, ok := s.index[k]
-		s.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		payload, err := s.readRecord(loc)
-		if err != nil {
-			continue
-		}
-		var env envelope
-		if json.Unmarshal(payload, &env) != nil {
-			continue
-		}
-		e, err := specEntryOf(k, env)
-		if err != nil {
-			continue
-		}
-		packed[k] = true
-		fn(e)
-	}
-	return s.walk(func(path string) error {
-		name := strings.TrimSuffix(filepath.Base(path), ".json")
-		if packed[name] {
-			return nil
-		}
-		env, err := readEnvelope(path)
-		if err != nil {
-			return nil
-		}
-		s.opens.Add(1)
-		e, err := specEntryOf(name, env)
-		if err != nil {
-			return nil
-		}
-		fn(e)
-		return nil
-	})
+	return nil
 }
 
-// SpecEntries reads every valid entry (all engine tags, both layouts) with
-// specs decoded and results raw, in deterministic (sorted key) order.
+// SpecEntries reads every valid entry (all engine tags) with specs decoded
+// and results raw, in deterministic (sorted key) order.
 func (s *Store) SpecEntries() ([]SpecEntry, error) {
 	var entries []SpecEntry
-	err := s.forEachSpecEntry(func(e SpecEntry) { entries = append(entries, e) })
+	err := s.forEachEntry(func(_ []byte, e SpecEntry) error {
+		entries = append(entries, e)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 	return entries, nil
 }
 
-// Entries fully decodes every valid entry in the store (all engine tags,
-// both layouts), in deterministic order. Corrupt entries are skipped —
-// Verify reports them.
+// Entries fully decodes every valid entry in the store (all engine tags),
+// in deterministic order. Corrupt entries are skipped — Verify reports them.
 func (s *Store) Entries() ([]Entry, error) {
 	specs, err := s.SpecEntries()
 	if err != nil {
@@ -661,25 +502,12 @@ type Problem struct {
 	Reason string
 }
 
-// verifyPayload checks one entry payload end to end: envelope parses, the
-// claimed key matches the content address of (tag, kind, spec), the result
-// payload matches its fingerprint, and the spec decodes under its kind.
-func verifyPayload(name string, payload []byte) (envelope, error) {
-	var env envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		return env, err
-	}
-	_, err := specEntryOf(name, env)
-	return env, err
-}
-
-// Verify checks the integrity of every entry in both layouts. For loose
-// entries: the envelope parses, the file name matches the content address,
-// and the payload matches its fingerprint. For packed segments every
-// record is re-framed, re-checksummed, and verified the same way; a
-// truncated or corrupt tail (the residue of a crashed flush) is reported
-// once per segment — lookups already ignore it, and Pack drops it. It
-// returns the number of sound records alongside the defects.
+// Verify checks the integrity of every entry: every segment record is
+// re-framed, re-checksummed, and its envelope verified (content address,
+// payload fingerprint, spec decoding). A truncated or corrupt tail (the
+// residue of a crashed flush) is reported once per segment — lookups
+// already ignore it, and GC drops it. It returns the number of sound
+// records alongside the defects.
 func (s *Store) Verify() (sound int, problems []Problem, err error) {
 	if err := s.Flush(); err != nil {
 		return 0, nil, err
@@ -721,32 +549,18 @@ func (s *Store) Verify() (sound int, problems []Problem, err error) {
 		if end < st.Size() {
 			problems = append(problems, Problem{
 				Path:   fmt.Sprintf("%s@%d", path, end),
-				Reason: fmt.Sprintf("truncated or checksum-corrupt tail record (%d trailing bytes ignored; calab pack drops them)", st.Size()-end),
+				Reason: fmt.Sprintf("truncated or checksum-corrupt tail record (%d trailing bytes ignored; calab gc drops them)", st.Size()-end),
 			})
 		}
 	}
-	err = s.walk(func(path string) error {
-		data, derr := os.ReadFile(path)
-		if derr == nil {
-			s.opens.Add(1)
-			_, derr = verifyPayload(strings.TrimSuffix(filepath.Base(path), ".json"), data)
-		}
-		if derr != nil {
-			problems = append(problems, Problem{Path: path, Reason: derr.Error()})
-			return nil
-		}
-		sound++
-		return nil
-	})
-	return sound, problems, err
+	return sound, problems, nil
 }
 
 // GC removes store entries that can no longer serve lookups: entries
 // written under a different engine tag than the current one, and corrupt
-// entries. With all set, every entry goes. Loose entries are unlinked;
-// packed survivors are compacted into a fresh segment (which also drops
-// superseded records and crash residue). It returns the number of entries
-// removed and kept.
+// entries. With all set, every entry goes. The survivors are compacted into
+// a fresh segment, which also drops superseded records and crash residue.
+// It returns the number of entries removed and kept.
 func (s *Store) GC(all bool) (removed, kept int, err error) {
 	if err := s.Flush(); err != nil {
 		return 0, 0, err
@@ -754,48 +568,12 @@ func (s *Store) GC(all bool) (removed, kept int, err error) {
 	if err := s.refresh(); err != nil {
 		return 0, 0, err
 	}
-
-	// Loose layout: unlink losers file by file, as always; survivors stay
-	// loose (conversion is Pack's, not GC's).
-	err = s.walk(func(path string) error {
+	for _, r := range s.indexed() {
 		keep := false
 		if !all {
-			if data, derr := os.ReadFile(path); derr == nil {
-				s.opens.Add(1)
-				name := strings.TrimSuffix(filepath.Base(path), ".json")
-				env, verr := verifyPayload(name, data)
-				keep = verr == nil && env.Tag == s.tag
-			}
-		}
-		if keep {
-			kept++
-			return nil
-		}
-		if rerr := os.Remove(path); rerr != nil {
-			return fmt.Errorf("lab: gc: %w", rerr)
-		}
-		removed++
-		return nil
-	})
-	if err != nil {
-		return removed, kept, err
-	}
-
-	// Packed layout: prune the index of losers, then compact the
-	// survivors into a fresh segment (which also drops superseded records
-	// and crash residue).
-	for _, key := range s.indexKeys() {
-		s.mu.RLock()
-		loc, ok := s.index[key]
-		s.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		keep := false
-		if !all {
-			if payload, rerr := s.readRecord(loc); rerr == nil {
-				env, verr := verifyPayload(key, payload)
-				keep = verr == nil && env.Tag == s.tag
+			if payload, rerr := s.readRecord(r.key, r.loc); rerr == nil {
+				e, verr := verifyPayload(r.key, payload)
+				keep = verr == nil && e.Tag == s.tag
 			}
 		}
 		if keep {
@@ -803,25 +581,31 @@ func (s *Store) GC(all bool) (removed, kept int, err error) {
 			continue
 		}
 		s.mu.Lock()
-		delete(s.index, key)
+		delete(s.index, r.key)
 		s.dirty = true
 		s.mu.Unlock()
 		removed++
 	}
-	if err := s.compactSegments(nil); err != nil {
+	if err := s.compactSegments(); err != nil {
 		return removed, kept, err
 	}
 	return removed, kept, nil
 }
 
-// indexKeys snapshots the index's keys in sorted order.
-func (s *Store) indexKeys() []string {
+// indexedRec is one index entry: a content key and its record's location.
+type indexedRec struct {
+	key string
+	loc recLoc
+}
+
+// indexed snapshots the index in sorted key order.
+func (s *Store) indexed() []indexedRec {
 	s.mu.RLock()
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
+	recs := make([]indexedRec, 0, len(s.index))
+	for k, loc := range s.index {
+		recs = append(recs, indexedRec{k, loc})
 	}
 	s.mu.RUnlock()
-	sort.Strings(keys)
-	return keys
+	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
+	return recs
 }

@@ -237,7 +237,7 @@ func TestSpecsKeySeparately(t *testing.T) {
 	}
 	w2 := w
 	w2.Seed++
-	if _, ok := st.LookupTrial(w2); ok {
+	if _, ok := lookupTrial(st, w2); ok {
 		t.Fatal("seed change still hit the original entry")
 	}
 	entries, err := st.Entries()
@@ -247,37 +247,38 @@ func TestSpecsKeySeparately(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("entries = %d, want 1", len(entries))
 	}
-	if entries[0].Kind != KindTrial || entries[0].Workload.Seed != 1 {
+	if entries[0].Kind != bench.KindTrial || entries[0].Workload.Seed != 1 {
 		t.Fatalf("decoded entry mismatch: %+v", entries[0])
 	}
 }
 
-// entryPaths lists the store's entry files.
-func entryPaths(t *testing.T, st *Store) []string {
-	t.Helper()
-	var paths []string
-	err := filepath.WalkDir(filepath.Join(st.Dir(), "objects"), func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(path, ".json") {
-			paths = append(paths, path)
-		}
-		return nil
-	})
+// lookupTrial and putTrial drive a store's TrialStore contract for one
+// stationary trial, the way bench.Runner does.
+func lookupTrial(st *Store, w bench.Workload) (bench.Result, bool) {
+	spec, err := bench.TrialSpecBytes(w)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	return paths
+	var res bench.Result
+	ok := st.Lookup(bench.KindTrial, &bench.PreparedSpec{Spec: spec}, &res)
+	return res, ok
 }
 
-// TestCorruptionIsAMissAndVerifyReportsIt: a flipped payload byte must fail
-// the fingerprint check — lookups treat the entry as cold and re-simulation
-// repairs it, and Verify names the defect.
+func putTrial(st *Store, w bench.Workload, res bench.Result) error {
+	spec, err := bench.TrialSpecBytes(w)
+	if err != nil {
+		return err
+	}
+	return st.Put(bench.KindTrial, &bench.PreparedSpec{Spec: spec}, res)
+}
+
+// TestCorruptionIsAMissAndVerifyReportsIt: a payload whose result no longer
+// matches its fingerprint — reframed with a valid CRC, so only the envelope
+// check can catch it — must be a miss, and Verify must name the defect.
+// Re-running heals the entry, and GC compacts the bad record away.
 func TestCorruptionIsAMissAndVerifyReportsIt(t *testing.T) {
-	// A loose handle, so the entry is a file this test can flip bytes in;
-	// packed-record corruption is covered by the segment crash tests.
-	st, err := OpenLoose(t.TempDir())
+	dir := t.TempDir()
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,24 +288,40 @@ func TestCorruptionIsAMissAndVerifyReportsIt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := entryPaths(t, st)
-	if len(paths) != 1 {
-		t.Fatalf("entry files = %d, want 1", len(paths))
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
-	data, err := os.ReadFile(paths[0])
+	segs := segmentsOn(t, dir)
+	if len(segs) != 1 {
+		t.Fatalf("segment files = %d, want 1", len(segs))
+	}
+	data, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a digit inside the result payload without breaking the JSON.
-	corrupt := strings.Replace(string(data), `"result":{"W":{"DS"`, `"result":{"X":{"DS"`, 1)
-	if corrupt == string(data) {
+	k, payload, err := parseRecord(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rename a result field without breaking the JSON or the frame length.
+	corrupt := strings.Replace(string(payload), `"result":{"W":{"DS"`, `"result":{"X":{"DS"`, 1)
+	if corrupt == string(payload) {
 		t.Fatal("corruption did not apply; envelope layout changed?")
 	}
-	if err := os.WriteFile(paths[0], []byte(corrupt), 0o644); err != nil {
+	framed, err := frameRecord(nil, k, []byte(corrupt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segs[0], framed, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, ok := st.LookupTrial(w); ok {
+	st, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, ok := lookupTrial(st, w); ok {
 		t.Fatal("corrupt entry served as a hit")
 	}
 	sound, problems, err := st.Verify()
@@ -318,7 +335,8 @@ func TestCorruptionIsAMissAndVerifyReportsIt(t *testing.T) {
 		t.Fatalf("problem reason %q does not name the fingerprint", problems[0].Reason)
 	}
 
-	// Re-running repairs the entry in place.
+	// Re-running repairs the entry: the fresh record supersedes the bad one.
+	r = bench.Runner{Store: st}
 	repaired, err := r.Run(w)
 	if err != nil {
 		t.Fatal(err)
@@ -326,8 +344,14 @@ func TestCorruptionIsAMissAndVerifyReportsIt(t *testing.T) {
 	if !reflect.DeepEqual(res, repaired) {
 		t.Fatal("repaired result diverges from original")
 	}
+	if _, ok := lookupTrial(st, w); !ok {
+		t.Fatal("repaired entry not served")
+	}
+	if removed, kept, err := st.GC(false); err != nil || removed != 0 || kept != 1 {
+		t.Fatalf("gc: removed %d kept %d (err %v), want 0/1", removed, kept, err)
+	}
 	if sound, problems, _ = st.Verify(); sound != 1 || len(problems) != 0 {
-		t.Fatalf("after repair: %d sound, %d problems; want 1/0", sound, len(problems))
+		t.Fatalf("after repair and gc: %d sound, %d problems; want 1/0", sound, len(problems))
 	}
 }
 
@@ -335,7 +359,7 @@ func TestCorruptionIsAMissAndVerifyReportsIt(t *testing.T) {
 // unreachable and must be collected; current-tag entries stay.
 func TestGCRemovesForeignTags(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenLoose(dir)
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,15 +371,18 @@ func TestGCRemovesForeignTags(t *testing.T) {
 	}
 
 	// A second handle pinned to a stale engine tag writes a foreign entry.
-	old, err := openTagged(dir, "0000deadbeef0000", true)
+	old, err := openTagged(dir, "0000deadbeef0000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := old.StoreTrial(w, res); err != nil {
+	if err := putTrial(old, w, res); err != nil {
 		t.Fatal(err)
 	}
-	if len(entryPaths(t, st)) != 2 {
-		t.Fatal("foreign-tag entry landed on the current entry's path")
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if keys, err := st.Keys(); err != nil || len(keys) != 2 {
+		t.Fatalf("keys = %v (err %v); the foreign-tag entry must land under its own key", keys, err)
 	}
 
 	removed, kept, err := st.GC(false)
@@ -365,7 +392,7 @@ func TestGCRemovesForeignTags(t *testing.T) {
 	if removed != 1 || kept != 1 {
 		t.Fatalf("gc removed %d kept %d, want 1/1", removed, kept)
 	}
-	if _, ok := st.LookupTrial(w); !ok {
+	if _, ok := lookupTrial(st, w); !ok {
 		t.Fatal("gc removed the current-tag entry")
 	}
 
@@ -413,11 +440,11 @@ func TestEngineTagScopesLookups(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	other, err := openTagged(dir, "ffffffffffffffff", false)
+	other, err := openTagged(dir, "ffffffffffffffff")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := other.LookupTrial(w); ok {
+	if _, ok := lookupTrial(other, w); ok {
 		t.Fatal("entry visible across engine tags")
 	}
 }
