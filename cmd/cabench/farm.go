@@ -12,12 +12,12 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -154,45 +154,22 @@ func shardRollups(opt options, n int, werrs []error) []obs.ShardRollup {
 	return rollups
 }
 
-// workerArgs rebuilds shard i's command line from the parsed sweep config —
-// every field that reaches the trial Workload (and therefore the content
-// key) is forwarded exactly, so shard entries are the entries the warm
-// coordinator re-run looks up.
+// workerArgs builds shard i's command line from the flags the user set:
+// every one is forwarded verbatim except the coordinator-only flags, so a
+// worker keys its entries exactly as the warm coordinator re-run looks them
+// up. Denying rather than allowing fails safe: no trial-shaping flag can be
+// left behind to key the shards differently and turn the render cold.
 func workerArgs(opt options, i, n int) []string {
-	cfg := opt.cfg
+	var args []string
+	opt.set.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "farm", "store", "manifest", "progress", "events", "cpuprofile", "memprofile", "exectrace", "csv", "v":
+		default:
+			args = append(args, "-"+f.Name+"="+f.Value.String())
+		}
+	})
 	dir := shardDir(opt.storePath, i, n)
-	args := []string{
-		"-ds", cfg.DS,
-		"-schemes", strings.Join(cfg.Schemes, ","),
-		"-threads", joinInts(cfg.Threads),
-		"-updates", joinInts(cfg.Updates),
-		"-ops", strconv.Itoa(cfg.Ops),
-		"-range", strconv.FormatUint(cfg.KeyRange, 10),
-		"-buckets", strconv.Itoa(cfg.Buckets),
-		"-seed", strconv.FormatUint(cfg.Seed, 10),
-		"-trials", strconv.Itoa(cfg.Trials),
-		"-workers", strconv.Itoa(cfg.Workers),
-		"-dist", cfg.Dist,
-		"-shard", fmt.Sprintf("%d/%d", i, n),
-		"-store", dir,
-		"-manifest", filepath.Join(dir, "manifest.json"),
-	}
-	if cfg.Check {
-		args = append(args, "-check")
-	}
-	if cfg.RecordLatency {
-		args = append(args, "-lat")
-	}
-	if cfg.RecordTail {
-		args = append(args, "-tail")
-	}
-	if cfg.RecordTimeline {
-		args = append(args, "-timeline")
-	}
-	if cfg.TimelineWindow != 0 {
-		args = append(args, "-timeline-window", strconv.FormatUint(cfg.TimelineWindow, 10))
-	}
-	return args
+	return append(args, "-shard", fmt.Sprintf("%d/%d", i, n), "-store", dir, "-manifest", filepath.Join(dir, "manifest.json"))
 }
 
 // workerFailure condenses a failed worker's captured output into the
@@ -206,13 +183,4 @@ func workerFailure(out []byte, werr error) string {
 		}
 	}
 	return werr.Error()
-}
-
-// joinInts renders ints as the comma-separated form the flag parser reads.
-func joinInts(ns []int) string {
-	parts := make([]string, len(ns))
-	for i, n := range ns {
-		parts[i] = strconv.Itoa(n)
-	}
-	return strings.Join(parts, ",")
 }

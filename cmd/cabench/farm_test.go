@@ -84,40 +84,49 @@ func farmArgs(extra ...string) []string {
 // TestFarmMatchesSequential pins the tentpole acceptance: a farm run's
 // stdout is byte-identical to the sequential sweep's, and a warm re-run
 // against the merged store reports 100% hits with zero simulated trials.
+// The second argument set gives every trial-shaping flag a non-default
+// value: a flag the coordinator failed to forward would key the shard
+// entries differently and leave the render cold.
 func TestFarmMatchesSequential(t *testing.T) {
 	t.Setenv("CABENCH_TEST_MAIN", "1") // worker processes re-enter run()
-	dir := t.TempDir()
+	for _, extra := range [][]string{
+		nil,
+		{"-dist", "zipf", "-check", "-lat", "-tail", "-timeline", "-timeline-window", "4096",
+			"-buckets", "64", "-range", "96", "-seed", "7"},
+	} {
+		dir := t.TempDir()
 
-	var seqOut, seqErr strings.Builder
-	if code := run(farmArgs("-store", filepath.Join(dir, "seq")), &seqOut, &seqErr); code != 0 {
-		t.Fatalf("sequential run failed (%d): %s", code, seqErr.String())
-	}
+		var seqOut, seqErr strings.Builder
+		if code := run(farmArgs(append(extra, "-store", filepath.Join(dir, "seq"))...), &seqOut, &seqErr); code != 0 {
+			t.Fatalf("%v: sequential run failed (%d): %s", extra, code, seqErr.String())
+		}
 
-	mainStore := filepath.Join(dir, "main")
-	var farmOut, farmErr strings.Builder
-	if code := run(farmArgs("-store", mainStore, "-farm", "2"), &farmOut, &farmErr); code != 0 {
-		t.Fatalf("farm run failed (%d): %s", code, farmErr.String())
-	}
-	if farmOut.String() != seqOut.String() {
-		t.Errorf("farm stdout differs from sequential:\n--- farm ---\n%s--- seq ---\n%s", farmOut.String(), seqOut.String())
-	}
-	if !strings.Contains(farmErr.String(), "farm: merged 2 shards, 8 entries added (0 already present)") {
-		t.Errorf("farm merge line missing:\n%s", farmErr.String())
-	}
-	if !strings.Contains(farmErr.String(), "store: 8 hits, 0 misses (100% warm)") {
-		t.Errorf("farm render was not fully warm:\n%s", farmErr.String())
-	}
+		mainStore := filepath.Join(dir, "main")
+		var farmOut, farmErr strings.Builder
+		if code := run(farmArgs(append(extra, "-store", mainStore, "-farm", "2")...), &farmOut, &farmErr); code != 0 {
+			t.Fatalf("%v: farm run failed (%d): %s", extra, code, farmErr.String())
+		}
+		if farmOut.String() != seqOut.String() {
+			t.Errorf("%v: farm stdout differs from sequential:\n--- farm ---\n%s--- seq ---\n%s", extra, farmOut.String(), seqOut.String())
+		}
+		if !strings.Contains(farmErr.String(), "farm: merged 2 shards, 8 entries added (0 already present)") {
+			t.Errorf("%v: farm merge line missing:\n%s", extra, farmErr.String())
+		}
+		if !strings.Contains(farmErr.String(), "store: 8 hits, 0 misses (100% warm)") {
+			t.Errorf("%v: farm render was not fully warm:\n%s", extra, farmErr.String())
+		}
 
-	// Warm re-run against the merged store: zero simulator work.
-	var warmOut, warmErr strings.Builder
-	if code := run(farmArgs("-store", mainStore), &warmOut, &warmErr); code != 0 {
-		t.Fatalf("warm re-run failed (%d): %s", code, warmErr.String())
-	}
-	if warmOut.String() != seqOut.String() {
-		t.Error("warm re-run stdout differs from sequential")
-	}
-	if !strings.Contains(warmErr.String(), "store: 8 hits, 0 misses (100% warm)") {
-		t.Errorf("warm re-run not 100%% warm:\n%s", warmErr.String())
+		// Warm re-run against the merged store: zero simulator work.
+		var warmOut, warmErr strings.Builder
+		if code := run(farmArgs(append(extra, "-store", mainStore)...), &warmOut, &warmErr); code != 0 {
+			t.Fatalf("%v: warm re-run failed (%d): %s", extra, code, warmErr.String())
+		}
+		if warmOut.String() != seqOut.String() {
+			t.Errorf("%v: warm re-run stdout differs from sequential", extra)
+		}
+		if !strings.Contains(warmErr.String(), "store: 8 hits, 0 misses (100% warm)") {
+			t.Errorf("%v: warm re-run not 100%% warm:\n%s", extra, warmErr.String())
+		}
 	}
 }
 

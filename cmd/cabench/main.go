@@ -41,6 +41,9 @@ type options struct {
 	timeline  bool
 	tracePath string
 	obs       obs.CLIFlags
+	// set is the parsed flag set: the farm forwards the flags the user set
+	// to its workers.
+	set *flag.FlagSet
 
 	// shardIdx/shardOf select worker mode (-shard I/N): run only this
 	// shard's jobs into the store, render no table. shardOf == 0 means
@@ -51,116 +54,99 @@ type options struct {
 	farm int
 }
 
-// reportedError marks an error the flag package has already printed to
-// stderr (with usage), so main must not print it a second time.
-type reportedError struct{ err error }
+// command binds cabench to opt: the shared frame parses and resolves into
+// opt, then runs the mode it selects.
+func command(opt *options) obs.Command {
+	return obs.Command{
+		Tool: "cabench", EngineTag: bench.EngineTag(), Obs: &opt.obs,
+		Flags: opt.register,
+		Body: func(rec *obs.Rec, stdout, stderr io.Writer) error {
+			switch {
+			case opt.shardOf > 0:
+				return shardRun(*opt, rec, stdout, stderr)
+			case opt.farm > 0:
+				return farmRun(*opt, rec, stdout, stderr)
+			}
+			return sweep(*opt, rec, stdout, stderr)
+		},
+	}
+}
 
-func (e reportedError) Error() string { return e.err.Error() }
-func (e reportedError) Unwrap() error { return e.err }
-
-// parseArgs parses the flag set into a SweepConfig, applying the paper's
-// per-structure key-range defaults. Split out of main for testability.
-func parseArgs(args []string, stderr io.Writer) (options, error) {
-	fs := flag.NewFlagSet("cabench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// register installs cabench's flags on fs and returns the step that
+// resolves them into opt, applying the paper's per-structure key-range
+// defaults.
+func (opt *options) register(fs *flag.FlagSet) func() (obs.SessionConfig, error) {
+	var tf bench.TrialFlags
+	tf.Register(fs)
 	var (
-		ds      = fs.String("ds", "list", "data structure: list, bst, hash, stack, queue")
 		schemes = fs.String("schemes", "none,ca,ibr,rcu,qsbr,hp,he", "comma-separated schemes")
 		threads = fs.String("threads", "1,2,4,8,16,32", "comma-separated thread counts")
 		updates = fs.String("updates", "0,10,100", "comma-separated update percentages")
 		ops     = fs.Int("ops", 3000, "operations per thread (paper: 3000)")
-		keys    = fs.Uint64("range", 0, "key range (default: paper's per-structure value)")
-		buckets = fs.Int("buckets", 128, "hash table buckets")
-		seed    = fs.Uint64("seed", 1, "base RNG seed")
 		trials  = fs.Int("trials", 1, "trials per point, throughput averaged (paper: 3)")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel trial workers (1: sequential)")
-		check   = fs.Bool("check", false, "enable use-after-free and Theorem 6/7 assertions")
-		csvPath = fs.String("csv", "", "also write long-form CSV to this file")
-		store   = fs.String("store", "", "content-addressed result store directory (warm cells skip simulation)")
-		verbose = fs.Bool("v", false, "print each point as it completes")
-		dist    = fs.String("dist", "uniform", "key distribution: uniform or zipf")
-		lat     = fs.Bool("lat", false, "also print per-point latency percentiles")
-		tail    = fs.Bool("tail", false, "print the tail-latency table: per-point percentiles over all trials merged")
-		tline   = fs.Bool("timeline", false, "record and print windowed sim-time metric timelines per point")
-		tlWin   = fs.Uint64("timeline-window", 0, "timeline window size in simulated cycles (0: default)")
-		trPath  = fs.String("trace", "", "write a Chrome trace_event JSON file of every simulated trial (forces -workers 1)")
 		shard   = fs.String("shard", "", "worker mode: run only shard I/N of the sweep's job list into -store, render no table")
-		farm    = fs.Int("farm", 0, "coordinator mode: spawn N worker processes over private shard stores, merge into -store, render warm")
 	)
-	var ob obs.CLIFlags
-	ob.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return options{}, reportedError{err}
-	}
-
-	kr := *keys
-	if kr == 0 {
-		kr = 1000 // paper: list, stack, hash use 1K keys
-		if *ds == "bst" {
-			kr = 10000 // paper: extbst uses 10K keys
+	fs.StringVar(&opt.csvPath, "csv", "", "also write long-form CSV to this file")
+	fs.BoolVar(&opt.verbose, "v", false, "print each point as it completes")
+	fs.IntVar(&opt.farm, "farm", 0, "coordinator mode: spawn N worker processes over private shard stores, merge into -store, render warm")
+	opt.set = fs
+	return func() (obs.SessionConfig, error) {
+		threadList, err := bench.SplitInts(*threads)
+		if err != nil {
+			return obs.SessionConfig{}, fmt.Errorf("-threads: %w", err)
 		}
-	}
-	schemeList := splitList(*schemes)
-	threadList, err := splitInts(*threads)
-	if err != nil {
-		return options{}, fmt.Errorf("-threads: %w", err)
-	}
-	updateList, err := splitInts(*updates)
-	if err != nil {
-		return options{}, fmt.Errorf("-updates: %w", err)
-	}
-	wk := *workers
-	if *trPath != "" {
-		// Deterministic trace files need the sequential path: one sink
-		// recording trials in sweep order.
-		wk = 1
-	}
-	shardIdx, shardOf := 0, 0
-	if *shard != "" {
-		var err error
-		if shardIdx, shardOf, err = parseShard(*shard); err != nil {
-			return options{}, err
+		updateList, err := bench.SplitInts(*updates)
+		if err != nil {
+			return obs.SessionConfig{}, fmt.Errorf("-updates: %w", err)
 		}
-	}
-	// Farm-mode plumbing: both modes fill a store (that is the whole point),
-	// and neither composes with tracing, which needs one sequential process.
-	if shardOf > 0 && *farm > 0 {
-		return options{}, errors.New("pick one of -shard (worker) and -farm (coordinator)")
-	}
-	if (shardOf > 0 || *farm > 0) && *store == "" {
-		return options{}, errors.New("-shard and -farm require -store")
-	}
-	if (shardOf > 0 || *farm > 0) && *trPath != "" {
-		return options{}, errors.New("-trace needs a single sequential process; drop -shard/-farm")
-	}
-	if shardOf > 0 && *csvPath != "" {
-		return options{}, errors.New("-shard renders no sweep output; ask the coordinator (or a warm re-run) for -csv")
-	}
-	if *farm < 0 {
-		return options{}, fmt.Errorf("-farm %d must be non-negative", *farm)
-	}
-	return options{
-		cfg: bench.SweepConfig{
-			DS:       *ds,
-			Schemes:  schemeList,
+		wk := *workers
+		if tf.Trace != "" {
+			// Deterministic trace files need the sequential path: one sink
+			// recording trials in sweep order.
+			wk = 1
+		}
+		if *shard != "" {
+			if opt.shardIdx, opt.shardOf, err = parseShard(*shard); err != nil {
+				return obs.SessionConfig{}, err
+			}
+		}
+		// Farm-mode plumbing: both modes fill a store (that is the whole
+		// point), and neither composes with tracing, which needs one
+		// sequential process.
+		farmed := opt.shardOf > 0 || opt.farm > 0
+		switch {
+		case opt.shardOf > 0 && opt.farm > 0:
+			err = errors.New("pick one of -shard (worker) and -farm (coordinator)")
+		case farmed && tf.Store == "":
+			err = errors.New("-shard and -farm require -store")
+		case farmed && tf.Trace != "":
+			err = errors.New("-trace needs a single sequential process; drop -shard/-farm")
+		case opt.shardOf > 0 && opt.csvPath != "":
+			err = errors.New("-shard renders no sweep output; ask the coordinator (or a warm re-run) for -csv")
+		case opt.farm < 0:
+			err = fmt.Errorf("-farm %d must be non-negative", opt.farm)
+		}
+		if err != nil {
+			return obs.SessionConfig{}, err
+		}
+		opt.cfg = bench.SweepConfig{
+			DS:       tf.DS,
+			Schemes:  bench.SplitList(*schemes),
 			Threads:  threadList,
 			Updates:  updateList,
-			KeyRange: kr, Ops: *ops, Buckets: *buckets,
-			Seed: *seed, Check: *check, Trials: *trials, Workers: wk,
-			Dist: *dist, RecordLatency: *lat, RecordTail: *tail,
-			RecordTimeline: *tline, TimelineWindow: *tlWin,
-		},
-		csvPath:   *csvPath,
-		storePath: *store,
-		verbose:   *verbose,
-		tail:      *tail,
-		timeline:  *tline,
-		tracePath: *trPath,
-		obs:       ob,
-		shardIdx:  shardIdx,
-		shardOf:   shardOf,
-		farm:      *farm,
-	}, nil
+			KeyRange: tf.KeyRange(), Ops: *ops, Buckets: tf.Buckets,
+			Seed: tf.Seed, Check: tf.Check, Trials: *trials, Workers: wk,
+			Dist: tf.Dist, RecordLatency: tf.Lat, RecordTail: tf.Tail,
+			RecordTimeline: tf.Timeline, TimelineWindow: tf.TimelineWindow,
+		}
+		opt.storePath, opt.tail = tf.Store, tf.Tail
+		opt.timeline, opt.tracePath = tf.Timeline, tf.Trace
+		return obs.SessionConfig{
+			Spec: opt.cfg, StoreDir: opt.storePath,
+			TraceOut: opt.tracePath, Timeline: opt.timeline,
+		}, nil
+	}
 }
 
 // parseShard parses "I/N" into a 0-based shard index and shard count.
@@ -180,53 +166,10 @@ func parseShard(s string) (idx, of int, err error) {
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its exit code and streams surfaced, so the failure modes
-// (bad flags, unopenable store, unwritable CSV) are pinned by tests: every
-// error path prints exactly one line to stderr — never a panic, never a
-// usage dump — and returns non-zero (2 for command-line errors, 1 for
-// runtime failures).
+// (bad flags, unopenable store, unwritable CSV) are pinned by tests; the
+// shared frame keeps the one-line, 0/1/2 exit contract.
 func run(args []string, stdout, stderr io.Writer) int {
-	opt, err := parseArgs(args, stderr)
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		var rep reportedError
-		if !errors.As(err, &rep) {
-			fmt.Fprintln(stderr, "cabench:", err)
-		}
-		return 2
-	}
-	if opt.obs.Version {
-		fmt.Fprintln(stdout, obs.VersionLine("cabench", bench.EngineTag()))
-		return 0
-	}
-	sess, err := opt.obs.Start(obs.SessionConfig{
-		Tool: "cabench", EngineTag: bench.EngineTag(), Args: args,
-		Spec: opt.cfg, Stderr: stderr, StoreDir: opt.storePath,
-		TraceOut: opt.tracePath, Timeline: opt.timeline,
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "cabench:", err)
-		return 1
-	}
-	switch {
-	case opt.shardOf > 0:
-		err = shardRun(opt, sess.Rec, stdout, stderr)
-	case opt.farm > 0:
-		err = farmRun(opt, sess.Rec, stdout, stderr)
-	default:
-		err = sweep(opt, sess.Rec, stdout, stderr)
-	}
-	// A session teardown failure (manifest write, profile flush) only
-	// surfaces when the run itself succeeded; the run's error is primary.
-	if cerr := sess.Close(err); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "cabench:", err)
-		return 1
-	}
-	return 0
+	return command(new(options)).Main(args, stdout, stderr)
 }
 
 // sweep executes the parsed sweep and renders every output. Observability
@@ -324,26 +267,4 @@ func printTimelines(w io.Writer, points []bench.SweepPoint) {
 		p.Timeline.WriteTable(w)
 		fmt.Fprintln(w)
 	}
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range splitList(s) {
-		n, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", p)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

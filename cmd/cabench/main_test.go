@@ -12,6 +12,13 @@ import (
 	"condaccess/internal/lab"
 )
 
+// parseArgs parses and resolves a command line the way run does, without
+// running it.
+func parseArgs(args []string, stderr io.Writer) (opt options, err error) {
+	_, err = command(&opt).Parse(args, stderr)
+	return opt, err
+}
+
 func TestParseArgsDefaults(t *testing.T) {
 	opt, err := parseArgs(nil, io.Discard)
 	if err != nil {

@@ -46,13 +46,6 @@ type options struct {
 	prof    obs.Profiler
 }
 
-// reportedError marks an error the flag package has already printed to
-// stderr (with usage), so main must not print it a second time.
-type reportedError struct{ err error }
-
-func (e reportedError) Error() string { return e.err.Error() }
-func (e reportedError) Unwrap() error { return e.err }
-
 const usageText = "usage: calab <inspect|diff|gc|export|verify|index|merge|runs> [flags]\n"
 
 // parseArgs parses the subcommand and its flag set. Split out of main for
@@ -60,7 +53,7 @@ const usageText = "usage: calab <inspect|diff|gc|export|verify|index|merge|runs>
 func parseArgs(args []string, stderr io.Writer) (options, error) {
 	if len(args) == 0 {
 		fmt.Fprint(stderr, usageText)
-		return options{}, reportedError{errors.New("missing subcommand")}
+		return options{}, obs.ReportedError{Err: errors.New("missing subcommand")}
 	}
 	opt := options{cmd: args[0]}
 	fs := flag.NewFlagSet("calab "+opt.cmd, flag.ContinueOnError)
@@ -91,14 +84,14 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		return options{cmd: "version"}, nil
 	case "-h", "-help", "--help", "help":
 		fmt.Fprint(stderr, usageText)
-		return options{}, reportedError{flag.ErrHelp}
+		return options{}, obs.ReportedError{Err: flag.ErrHelp}
 	default:
 		fmt.Fprint(stderr, usageText)
-		return options{}, reportedError{fmt.Errorf("unknown subcommand %q", opt.cmd)}
+		return options{}, obs.ReportedError{Err: fmt.Errorf("unknown subcommand %q", opt.cmd)}
 	}
 	opt.prof.Register(fs)
 	if err := fs.Parse(args[1:]); err != nil {
-		return options{}, reportedError{err}
+		return options{}, obs.ReportedError{Err: err}
 	}
 	if opt.cmd == "merge" {
 		args := fs.Args()
@@ -141,30 +134,18 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 func main() {
 	opt, err := parseArgs(os.Args[1:], os.Stderr)
 	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		var rep reportedError
-		if !errors.As(err, &rep) {
-			fmt.Fprintln(os.Stderr, "calab:", err)
-		}
-		os.Exit(2)
+		os.Exit(obs.Exit("calab", err, 2, os.Stderr))
 	}
 	// Profiling (shared -cpuprofile/-memprofile/-exectrace flags) wraps the
 	// command body; a profile-teardown failure only surfaces when the command
 	// itself succeeded.
-	if err := opt.prof.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "calab:", err)
-		os.Exit(1)
+	if err = opt.prof.Start(); err == nil {
+		err = run(opt, os.Stdout)
+		if perr := opt.prof.Stop(); err == nil {
+			err = perr
+		}
 	}
-	err = run(opt, os.Stdout)
-	if perr := opt.prof.Stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "calab:", err)
-		os.Exit(1)
-	}
+	os.Exit(obs.Exit("calab", err, 1, os.Stderr))
 }
 
 // run dispatches a parsed command, writing its report to out.

@@ -34,18 +34,18 @@ type options struct {
 	obs       obs.CLIFlags
 }
 
-// reportedError marks an error the flag package has already printed to
-// stderr (with usage), so main must not print it a second time.
-type reportedError struct{ err error }
+// command binds camem to opt: the shared frame parses and resolves into
+// opt, then runs the footprint workloads.
+func command(opt *options) obs.Command {
+	return obs.Command{
+		Tool: "camem", EngineTag: bench.EngineTag(), Obs: &opt.obs,
+		Flags: opt.register, Body: opt.footprint,
+	}
+}
 
-func (e reportedError) Error() string { return e.err.Error() }
-func (e reportedError) Unwrap() error { return e.err }
-
-// parseArgs parses the flag set into per-scheme workloads. Split out of
-// main for testability.
-func parseArgs(args []string, stderr io.Writer) (options, error) {
-	fs := flag.NewFlagSet("camem", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// register installs camem's flags on fs and returns the step that resolves
+// them into per-scheme workloads.
+func (opt *options) register(fs *flag.FlagSet) func() (obs.SessionConfig, error) {
 	var (
 		schemes = fs.String("schemes", "none,ca,ibr,rcu,qsbr,hp,he", "comma-separated schemes")
 		threads = fs.Int("threads", 16, "threads (paper: 16)")
@@ -54,84 +54,38 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		every   = fs.Int("sample", 1000, "sample footprint every N total ops (paper: 1000)")
 		seed    = fs.Uint64("seed", 1, "RNG seed")
 		check   = fs.Bool("check", false, "enable safety assertions")
-		csvPath = fs.String("csv", "", "also write CSV to this file")
-		store   = fs.String("store", "", "content-addressed result store directory (warm schemes skip simulation)")
-		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel scheme workers (1: sequential)")
 	)
-	var ob obs.CLIFlags
-	ob.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return options{}, reportedError{err}
-	}
-
-	var names []string
-	for _, scheme := range strings.Split(*schemes, ",") {
-		if scheme = strings.TrimSpace(scheme); scheme != "" {
-			names = append(names, scheme)
+	fs.StringVar(&opt.csvPath, "csv", "", "also write CSV to this file")
+	fs.StringVar(&opt.storePath, "store", "", "content-addressed result store directory (warm schemes skip simulation)")
+	fs.IntVar(&opt.workers, "workers", runtime.GOMAXPROCS(0), "parallel scheme workers (1: sequential)")
+	return func() (obs.SessionConfig, error) {
+		if opt.schemes = bench.SplitList(*schemes); len(opt.schemes) == 0 {
+			return obs.SessionConfig{}, errors.New("-schemes: empty list")
 		}
-	}
-	if len(names) == 0 {
-		return options{}, errors.New("-schemes: empty list")
-	}
-	ws := make([]bench.Workload, len(names))
-	for i, scheme := range names {
-		ws[i] = bench.Workload{
-			DS: "list", Scheme: scheme,
-			Threads: *threads, KeyRange: *keys, UpdatePct: 100,
-			OpsPerThread: *ops, Seed: *seed, Check: *check,
-			FootprintEvery: *every,
+		opt.ws = make([]bench.Workload, len(opt.schemes))
+		for i, scheme := range opt.schemes {
+			opt.ws[i] = bench.Workload{
+				DS: "list", Scheme: scheme,
+				Threads: *threads, KeyRange: *keys, UpdatePct: 100,
+				OpsPerThread: *ops, Seed: *seed, Check: *check,
+				FootprintEvery: *every,
+			}
 		}
+		return obs.SessionConfig{Spec: opt.ws, StoreDir: opt.storePath}, nil
 	}
-	return options{
-		ws: ws, schemes: names,
-		csvPath: *csvPath, storePath: *store, workers: *workers,
-		obs: ob,
-	}, nil
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main with its exit code and streams surfaced (the same contract as
-// the other commands): every error path prints exactly one line to stderr
-// and returns non-zero (2 for command-line errors, 1 for runtime failures).
+// run is main with its exit code and streams surfaced; the shared frame
+// keeps the one-line, 0/1/2 exit contract.
 func run(args []string, stdout, stderr io.Writer) int {
-	opt, err := parseArgs(args, stderr)
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		var rep reportedError
-		if !errors.As(err, &rep) {
-			fmt.Fprintln(stderr, "camem:", err)
-		}
-		return 2
-	}
-	if opt.obs.Version {
-		fmt.Fprintln(stdout, obs.VersionLine("camem", bench.EngineTag()))
-		return 0
-	}
-	sess, err := opt.obs.Start(obs.SessionConfig{
-		Tool: "camem", EngineTag: bench.EngineTag(), Args: args,
-		Spec: opt.ws, Stderr: stderr, StoreDir: opt.storePath,
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "camem:", err)
-		return 1
-	}
-	err = footprint(opt, sess.Rec, stdout, stderr)
-	if cerr := sess.Close(err); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "camem:", err)
-		return 1
-	}
-	return 0
+	return command(new(options)).Main(args, stdout, stderr)
 }
 
 // footprint runs the per-scheme workloads and renders the Figure 3 table
 // (and CSV). Observability (rec may be nil) is out-of-band.
-func footprint(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
+func (opt *options) footprint(rec *obs.Rec, stdout, stderr io.Writer) (err error) {
 	store, finish, err := lab.OpenForRun(opt.storePath, rec, stderr)
 	if err != nil {
 		return err

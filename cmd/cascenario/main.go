@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"condaccess/internal/bench"
 	"condaccess/internal/lab"
@@ -42,151 +41,90 @@ type options struct {
 	obs       obs.CLIFlags
 }
 
-// reportedError marks an error the flag package has already printed to
-// stderr (with usage), so main must not print it a second time.
-type reportedError struct{ err error }
+// command binds cascenario to opt: the shared frame parses and resolves
+// into opt, then prints the preset catalog (-list) or runs the scenario.
+func command(opt *options) obs.Command {
+	return obs.Command{
+		Tool: "cascenario", EngineTag: bench.EngineTag(), Obs: &opt.obs,
+		Flags: opt.register,
+		Body: func(rec *obs.Rec, stdout, stderr io.Writer) error {
+			if opt.list {
+				printPresets(stdout)
+				return nil
+			}
+			return runScenarios(*opt, rec, stdout, stderr)
+		},
+	}
+}
 
-func (e reportedError) Error() string { return e.err.Error() }
-func (e reportedError) Unwrap() error { return e.err }
-
-// parseArgs parses the flag set into a scenario binding, applying the
-// paper's per-structure key-range defaults. Split out of main for
-// testability.
-func parseArgs(args []string, stderr io.Writer) (options, error) {
-	fs := flag.NewFlagSet("cascenario", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// register installs cascenario's flags on fs and returns the step that
+// resolves them into a scenario binding, applying the paper's
+// per-structure key-range defaults.
+func (opt *options) register(fs *flag.FlagSet) func() (obs.SessionConfig, error) {
+	var tf bench.TrialFlags
+	tf.Register(fs)
 	var (
 		preset  = fs.String("preset", "", "built-in scenario name (see -list)")
 		file    = fs.String("file", "", "load scenario from this JSON file")
-		list    = fs.Bool("list", false, "print the built-in scenarios and exit")
-		ds      = fs.String("ds", "list", "data structure: list, bst, hash, stack, queue, hmlist")
 		schemes = fs.String("schemes", "ca,rcu", "comma-separated reclamation schemes")
 		threads = fs.Int("threads", 8, "simulated threads")
-		keys    = fs.Uint64("range", 0, "key range (default: paper's per-structure value)")
-		buckets = fs.Int("buckets", 128, "hash table buckets")
-		seed    = fs.Uint64("seed", 1, "base RNG seed")
-		check   = fs.Bool("check", false, "enable use-after-free and Theorem 6/7 assertions")
-		dist    = fs.String("dist", "uniform", "default key distribution for phases that name none")
-		lat     = fs.Bool("lat", false, "also print per-phase latency percentiles")
-		tail    = fs.Bool("tail", false, "print per-phase tail-latency tables: per-kind and per-attribution percentiles")
-		tline   = fs.Bool("timeline", false, "record and print windowed sim-time metric timelines per phase")
-		tlWin   = fs.Uint64("timeline-window", 0, "timeline window size in simulated cycles (0: default)")
-		trPath  = fs.String("trace", "", "write a Chrome trace_event JSON file of every simulated trial")
-		store   = fs.String("store", "", "content-addressed result store directory (warm trials skip simulation)")
 	)
-	var ob obs.CLIFlags
-	ob.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return options{}, reportedError{err}
-	}
-	// -version and -list need no scenario; they win before the
-	// one-of-preset/file/list requirement can reject the command line.
-	if ob.Version {
-		return options{obs: ob}, nil
-	}
-	if *list {
-		return options{list: true}, nil
-	}
-
-	var sc scenario.Scenario
-	var err error
-	switch {
-	case *preset != "" && *file != "":
-		return options{}, errors.New("-preset and -file are mutually exclusive")
-	case *preset != "":
-		sc, err = scenario.Preset(*preset)
-	case *file != "":
-		sc, err = scenario.Load(*file)
-	default:
-		return options{}, errors.New("one of -preset, -file, or -list is required")
-	}
-	if err != nil {
-		return options{}, err
-	}
-
-	kr := *keys
-	if kr == 0 {
-		kr = 1000 // paper: list, stack, hash use 1K keys
-		if *ds == "bst" {
-			kr = 10000 // paper: extbst uses 10K keys
+	fs.BoolVar(&opt.list, "list", false, "print the built-in scenarios and exit")
+	return func() (obs.SessionConfig, error) {
+		// -list needs no scenario; it wins before the one-of-preset/file/list
+		// requirement can reject the command line.
+		if opt.list {
+			return obs.SessionConfig{}, nil
 		}
-	}
-	schemeList := splitList(*schemes)
-	if len(schemeList) == 0 {
-		return options{}, errors.New("-schemes: empty list")
-	}
-	if min := sc.MinThreads(); *threads < min {
-		return options{}, fmt.Errorf("scenario %q needs at least %d threads (role table)", sc.Name, min)
-	}
-	return options{
-		sw: bench.ScenarioWorkload{
-			DS:       *ds,
+		var sc scenario.Scenario
+		var err error
+		switch {
+		case *preset != "" && *file != "":
+			return obs.SessionConfig{}, errors.New("-preset and -file are mutually exclusive")
+		case *preset != "":
+			sc, err = scenario.Preset(*preset)
+		case *file != "":
+			sc, err = scenario.Load(*file)
+		default:
+			return obs.SessionConfig{}, errors.New("one of -preset, -file, or -list is required")
+		}
+		if err != nil {
+			return obs.SessionConfig{}, err
+		}
+		if opt.schemes = bench.SplitList(*schemes); len(opt.schemes) == 0 {
+			return obs.SessionConfig{}, errors.New("-schemes: empty list")
+		}
+		if min := sc.MinThreads(); *threads < min {
+			return obs.SessionConfig{}, fmt.Errorf("scenario %q needs at least %d threads (role table)", sc.Name, min)
+		}
+		opt.sw = bench.ScenarioWorkload{
+			DS:       tf.DS,
 			Threads:  *threads,
-			KeyRange: kr, Buckets: *buckets,
-			Seed: *seed, Check: *check, Dist: *dist,
-			RecordLatency: *lat, RecordTail: *tail,
-			RecordTimeline: *tline, TimelineWindow: *tlWin,
+			KeyRange: tf.KeyRange(), Buckets: tf.Buckets,
+			Seed: tf.Seed, Check: tf.Check, Dist: tf.Dist,
+			RecordLatency: tf.Lat, RecordTail: tf.Tail,
+			RecordTimeline: tf.Timeline, TimelineWindow: tf.TimelineWindow,
 			Scenario: sc,
-		},
-		schemes:   schemeList,
-		storePath: *store,
-		lat:       *lat,
-		tail:      *tail,
-		timeline:  *tline,
-		tracePath: *trPath,
-		obs:       ob,
-	}, nil
+		}
+		opt.storePath, opt.lat, opt.tail = tf.Store, tf.Lat, tf.Tail
+		opt.timeline, opt.tracePath = tf.Timeline, tf.Trace
+		return obs.SessionConfig{
+			Spec: struct {
+				Schemes  []string
+				Scenario bench.ScenarioWorkload
+			}{opt.schemes, opt.sw},
+			StoreDir: opt.storePath, TraceOut: opt.tracePath, Timeline: opt.timeline,
+		}, nil
+	}
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its exit code and streams surfaced, so the failure modes
 // (bad flags, unreadable scenario file, unopenable store) are pinned by
-// tests: every error path prints exactly one line to stderr — never a panic,
-// never a usage dump — and returns non-zero (2 for command-line errors, 1
-// for runtime failures).
+// tests; the shared frame keeps the one-line, 0/1/2 exit contract.
 func run(args []string, stdout, stderr io.Writer) int {
-	opt, err := parseArgs(args, stderr)
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		var rep reportedError
-		if !errors.As(err, &rep) {
-			fmt.Fprintln(stderr, "cascenario:", err)
-		}
-		return 2
-	}
-	if opt.obs.Version {
-		fmt.Fprintln(stdout, obs.VersionLine("cascenario", bench.EngineTag()))
-		return 0
-	}
-	if opt.list {
-		printPresets(stdout)
-		return 0
-	}
-	sess, err := opt.obs.Start(obs.SessionConfig{
-		Tool: "cascenario", EngineTag: bench.EngineTag(), Args: args,
-		Spec: struct {
-			Schemes  []string
-			Scenario bench.ScenarioWorkload
-		}{opt.schemes, opt.sw},
-		Stderr: stderr, StoreDir: opt.storePath,
-		TraceOut: opt.tracePath, Timeline: opt.timeline,
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "cascenario:", err)
-		return 1
-	}
-	err = runScenarios(opt, sess.Rec, stdout, stderr)
-	if cerr := sess.Close(err); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "cascenario:", err)
-		return 1
-	}
-	return 0
+	return command(new(options)).Main(args, stdout, stderr)
 }
 
 // runScenarios executes one scenario trial per scheme, each declared as one
@@ -351,14 +289,4 @@ func missPct(seg bench.PhaseSegment) float64 {
 		return 0
 	}
 	return 100 * float64(seg.Cache.L1Misses) / float64(acc)
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -13,8 +13,16 @@ import (
 	"testing"
 
 	"condaccess/internal/bench"
+	"condaccess/internal/obs"
 	"condaccess/internal/scenario"
 )
+
+// parseArgs parses and resolves a command line the way run does, without
+// running it.
+func parseArgs(args []string, stderr io.Writer) (opt options, err error) {
+	_, err = command(&opt).Parse(args, stderr)
+	return opt, err
+}
 
 func TestParseArgsPreset(t *testing.T) {
 	opt, err := parseArgs([]string{"-preset", "read-burst"}, io.Discard)
@@ -114,7 +122,7 @@ func TestParseArgsBadFlagIsReported(t *testing.T) {
 	if err == nil {
 		t.Fatal("bad -threads accepted")
 	}
-	var rep reportedError
+	var rep obs.ReportedError
 	if !errors.As(err, &rep) {
 		t.Errorf("flag-package error not marked reported: %v", err)
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"condaccess/internal/bench"
 	"condaccess/internal/obs"
@@ -29,18 +28,18 @@ type options struct {
 	obs     obs.CLIFlags
 }
 
-// reportedError marks an error the flag package has already printed to
-// stderr (with usage), so main must not print it a second time.
-type reportedError struct{ err error }
+// command binds castat to opt: the shared frame parses and resolves into
+// opt, then runs the per-scheme detail blocks.
+func command(opt *options) obs.Command {
+	return obs.Command{
+		Tool: "castat", EngineTag: bench.EngineTag(), Obs: &opt.obs,
+		Flags: opt.register, Body: opt.stat,
+	}
+}
 
-func (e reportedError) Error() string { return e.err.Error() }
-func (e reportedError) Unwrap() error { return e.err }
-
-// parseArgs parses the flag set into a workload template plus scheme list.
-// Split out of main for testability (same pattern as cmd/cabench).
-func parseArgs(args []string, stderr io.Writer) (options, error) {
-	fs := flag.NewFlagSet("castat", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// register installs castat's flags on fs and returns the step that resolves
+// them into a workload template plus scheme list.
+func (opt *options) register(fs *flag.FlagSet) func() (obs.SessionConfig, error) {
 	var (
 		ds      = fs.String("ds", "list", "data structure: list, hmlist, bst, hash, stack, queue")
 		schemes = fs.String("schemes", "none,ca,ibr,rcu,qsbr,hp,he", "comma-separated schemes")
@@ -51,75 +50,31 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		dist    = fs.String("dist", "uniform", "key distribution: uniform or zipf")
 		seed    = fs.Uint64("seed", 1, "RNG seed")
 	)
-	var ob obs.CLIFlags
-	ob.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return options{}, reportedError{err}
-	}
-	var schemeList []string
-	for _, scheme := range strings.Split(*schemes, ",") {
-		if scheme = strings.TrimSpace(scheme); scheme != "" {
-			schemeList = append(schemeList, scheme)
+	return func() (obs.SessionConfig, error) {
+		if opt.schemes = bench.SplitList(*schemes); len(opt.schemes) == 0 {
+			return obs.SessionConfig{}, errors.New("-schemes: no schemes given")
 		}
-	}
-	if len(schemeList) == 0 {
-		return options{}, errors.New("-schemes: no schemes given")
-	}
-	return options{
-		w: bench.Workload{
+		opt.w = bench.Workload{
 			DS:      *ds,
 			Threads: *threads, KeyRange: *keys, UpdatePct: *updates,
 			OpsPerThread: *ops, Seed: *seed, Dist: *dist,
 			RecordLatency: true,
-		},
-		schemes: schemeList,
-		obs:     ob,
-	}, nil
+		}
+		return obs.SessionConfig{Spec: opt.w}, nil
+	}
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main with its exit code and streams surfaced (the same contract as
-// the other commands): every error path prints exactly one line to stderr
-// and returns non-zero (2 for command-line errors, 1 for runtime failures).
+// run is main with its exit code and streams surfaced; the shared frame
+// keeps the one-line, 0/1/2 exit contract.
 func run(args []string, stdout, stderr io.Writer) int {
-	opt, err := parseArgs(args, stderr)
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		var rep reportedError
-		if !errors.As(err, &rep) {
-			fmt.Fprintln(stderr, "castat:", err)
-		}
-		return 2
-	}
-	if opt.obs.Version {
-		fmt.Fprintln(stdout, obs.VersionLine("castat", bench.EngineTag()))
-		return 0
-	}
-	sess, err := opt.obs.Start(obs.SessionConfig{
-		Tool: "castat", EngineTag: bench.EngineTag(), Args: args,
-		Spec: opt.w, Stderr: stderr,
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "castat:", err)
-		return 1
-	}
-	err = stat(opt, sess.Rec, stdout)
-	if cerr := sess.Close(err); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "castat:", err)
-		return 1
-	}
-	return 0
+	return command(new(options)).Main(args, stdout, stderr)
 }
 
 // stat runs one workload per scheme and prints the detail blocks.
 // Observability (rec may be nil) is out-of-band.
-func stat(opt options, rec *obs.Rec, stdout io.Writer) error {
+func (opt *options) stat(rec *obs.Rec, stdout, _ io.Writer) error {
 	w := opt.w
 	fmt.Fprintf(stdout, "%s, %d threads, %d%% updates, %d keys (%s), %d ops/thread\n\n",
 		w.DS, w.Threads, w.UpdatePct, w.KeyRange, w.Dist, w.OpsPerThread)
@@ -161,11 +116,4 @@ func stat(opt options, rec *obs.Rec, stdout io.Writer) error {
 			l.P50, l.P90, l.P99, l.P999, l.Max, res.Retries)
 	}
 	return nil
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

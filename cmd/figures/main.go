@@ -19,7 +19,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,8 +40,8 @@ import (
 
 var allSchemes = []string{"none", "ca", "ibr", "rcu", "qsbr", "hp", "he"}
 
-// figOrder is the run order of the figure jobs; parseArgs validates -fig
-// against it.
+// figOrder is the run order of the figure jobs; -fig is validated against
+// it.
 var figOrder = []string{"fig1list", "fig1bst", "fig2hash", "fig2stack", "fig3mem", "assoc", "tuning", "smt", "hmlist", "tail", "timeline"}
 
 // options is the parsed command line: the fully-derived generator (scale
@@ -54,114 +53,77 @@ type options struct {
 	obs       obs.CLIFlags
 }
 
-// reportedError marks an error the flag package has already printed to
-// stderr (with usage), so main must not print it a second time.
-type reportedError struct{ err error }
+// command binds figures to opt: the shared frame parses and resolves into
+// opt, then runs the selected figure jobs.
+func command(opt *options) obs.Command {
+	return obs.Command{
+		Tool: "figures", EngineTag: bench.EngineTag(), Obs: &opt.obs,
+		Flags: opt.register, Body: opt.figures,
+	}
+}
 
-func (e reportedError) Error() string { return e.err.Error() }
-func (e reportedError) Unwrap() error { return e.err }
-
-// parseArgs parses the flag set and resolves the experiment scale. Split
-// out of main for testability.
-func parseArgs(args []string, stderr io.Writer) (options, error) {
-	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// register installs the figures flags on fs and returns the step that
+// validates -fig and resolves the experiment scale.
+func (opt *options) register(fs *flag.FlagSet) func() (obs.SessionConfig, error) {
 	var (
 		out     = fs.String("out", "results", "output directory for CSV files")
-		fig     = fs.String("fig", "all", "which figure: all, "+strings.Join(figOrder, ", "))
 		quick   = fs.Bool("quick", false, "reduced scale: fewer threads/ops/trials")
 		check   = fs.Bool("check", false, "enable safety assertions (slower)")
 		seed    = fs.Uint64("seed", 1, "base seed")
 		ntrial  = fs.Int("trials", 0, "override trials per point (0: 3 full / 1 quick)")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel trial workers (1: sequential)")
-		store   = fs.String("store", "", "content-addressed result store directory (warm cells skip simulation)")
 	)
-	var ob obs.CLIFlags
-	ob.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		return options{}, reportedError{err}
-	}
-	if *fig != "all" && !slices.Contains(figOrder, *fig) {
-		return options{}, fmt.Errorf("-fig %q: unknown figure (want all, %s)", *fig, strings.Join(figOrder, ", "))
-	}
-
-	threads := []int{1, 2, 4, 8, 16, 32}
-	ops, trials, memOps := 3000, 3, 5000
-	if *quick {
-		threads = []int{1, 4, 16, 32}
-		ops, trials, memOps = 800, 1, 2000
-	}
-	if *ntrial > 0 {
-		trials = *ntrial
-	}
-	return options{
-		g: generator{
+	fs.StringVar(&opt.fig, "fig", "all", "which figure: all, "+strings.Join(figOrder, ", "))
+	fs.StringVar(&opt.storePath, "store", "", "content-addressed result store directory (warm cells skip simulation)")
+	return func() (obs.SessionConfig, error) {
+		if opt.fig != "all" && !slices.Contains(figOrder, opt.fig) {
+			return obs.SessionConfig{}, fmt.Errorf("-fig %q: unknown figure (want all, %s)", opt.fig, strings.Join(figOrder, ", "))
+		}
+		threads := []int{1, 2, 4, 8, 16, 32}
+		ops, trials, memOps := 3000, 3, 5000
+		if *quick {
+			threads = []int{1, 4, 16, 32}
+			ops, trials, memOps = 800, 1, 2000
+		}
+		if *ntrial > 0 {
+			trials = *ntrial
+		}
+		opt.g = generator{
 			out: *out, check: *check, seed: *seed,
 			threads: threads, ops: ops, trials: trials, memOps: memOps,
 			workers: *workers,
-		},
-		fig:       *fig,
-		storePath: *store,
-		obs:       ob,
-	}, nil
+		}
+		g := opt.g
+		return obs.SessionConfig{
+			Spec: struct {
+				Fig     string `json:"fig"`
+				Threads []int  `json:"threads"`
+				Ops     int    `json:"ops"`
+				Trials  int    `json:"trials"`
+				MemOps  int    `json:"memOps"`
+				Workers int    `json:"workers"`
+				Seed    uint64 `json:"seed"`
+				Check   bool   `json:"check"`
+			}{opt.fig, g.threads, g.ops, g.trials, g.memOps, g.workers, g.seed, g.check},
+			StoreDir: opt.storePath,
+		}, nil
+	}
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its exit code and streams surfaced, so the failure modes
 // (bad flags, unopenable store, uncreatable output directory) are pinned by
-// tests: every error path prints exactly one line to stderr — never a
-// panic, never a usage dump — and returns non-zero (2 for command-line
-// errors, 1 for runtime failures). The figure jobs themselves stream their
-// panel summaries to the process stdout.
+// tests; the shared frame keeps the one-line, 0/1/2 exit contract. The
+// figure jobs themselves stream their panel summaries to the process
+// stdout.
 func run(args []string, stdout, stderr io.Writer) int {
-	opt, err := parseArgs(args, stderr)
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		var rep reportedError
-		if !errors.As(err, &rep) {
-			fmt.Fprintln(stderr, "figures:", err)
-		}
-		return 2
-	}
-	if opt.obs.Version {
-		fmt.Fprintln(stdout, obs.VersionLine("figures", bench.EngineTag()))
-		return 0
-	}
-	sess, err := opt.obs.Start(obs.SessionConfig{
-		Tool: "figures", EngineTag: bench.EngineTag(), Args: args,
-		Spec: struct {
-			Fig     string `json:"fig"`
-			Threads []int  `json:"threads"`
-			Ops     int    `json:"ops"`
-			Trials  int    `json:"trials"`
-			MemOps  int    `json:"memOps"`
-			Workers int    `json:"workers"`
-			Seed    uint64 `json:"seed"`
-			Check   bool   `json:"check"`
-		}{opt.fig, opt.g.threads, opt.g.ops, opt.g.trials, opt.g.memOps, opt.g.workers, opt.g.seed, opt.g.check},
-		Stderr: stderr, StoreDir: opt.storePath,
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "figures:", err)
-		return 1
-	}
-	err = figures(opt, sess.Rec, stdout, stderr)
-	if cerr := sess.Close(err); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "figures:", err)
-		return 1
-	}
-	return 0
+	return command(new(options)).Main(args, stdout, stderr)
 }
 
 // figures runs the selected figure jobs. Observability (rec may be nil) is
 // out-of-band: stdout is byte-identical with or without it.
-func figures(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
+func (opt *options) figures(rec *obs.Rec, stdout, stderr io.Writer) (err error) {
 	g := opt.g
 	g.rec = rec
 	store, finish, err := lab.OpenForRun(opt.storePath, rec, stderr)
@@ -230,10 +192,10 @@ func (g generator) runAt(pt int, w bench.Workload) (bench.Result, error) {
 	return res, nil
 }
 
-func (g generator) sweepFig(name, ds string, keyRange uint64) error {
+func (g generator) sweepFig(name, ds string) error {
 	cfg := bench.SweepConfig{
 		DS: ds, Schemes: allSchemes, Threads: g.threads,
-		Updates: []int{0, 10, 100}, KeyRange: keyRange,
+		Updates: []int{0, 10, 100}, KeyRange: bench.PaperKeyRange(ds),
 		Ops: g.ops, Buckets: 128, Seed: g.seed, Check: g.check, Trials: g.trials,
 		Workers: g.workers, Store: g.store, Obs: g.rec,
 	}
@@ -252,10 +214,10 @@ func (g generator) sweepFig(name, ds string, keyRange uint64) error {
 	return bench.WriteCSV(f, ds, points)
 }
 
-func (g generator) fig1list() error  { return g.sweepFig("fig1_list", "list", 1000) }
-func (g generator) fig1bst() error   { return g.sweepFig("fig1_bst", "bst", 10000) }
-func (g generator) fig2hash() error  { return g.sweepFig("fig2_hash", "hash", 1000) }
-func (g generator) fig2stack() error { return g.sweepFig("fig2_stack", "stack", 1000) }
+func (g generator) fig1list() error  { return g.sweepFig("fig1_list", "list") }
+func (g generator) fig1bst() error   { return g.sweepFig("fig1_bst", "bst") }
+func (g generator) fig2hash() error  { return g.sweepFig("fig2_hash", "hash") }
+func (g generator) fig2stack() error { return g.sweepFig("fig2_stack", "stack") }
 
 func (g generator) fig3mem() error {
 	f, err := os.Create(filepath.Join(g.out, "fig3_mem.csv"))

@@ -9,7 +9,16 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"condaccess/internal/obs"
 )
+
+// parseArgs parses and resolves a command line the way run does, without
+// running it.
+func parseArgs(args []string, stderr io.Writer) (opt options, err error) {
+	_, err = command(&opt).Parse(args, stderr)
+	return opt, err
+}
 
 func TestParseArgsDefaults(t *testing.T) {
 	opt, err := parseArgs(nil, io.Discard)
@@ -84,7 +93,7 @@ func TestParseArgsBadFlagIsReported(t *testing.T) {
 	if err == nil {
 		t.Fatal("bad -trials accepted")
 	}
-	var rep reportedError
+	var rep obs.ReportedError
 	if !errors.As(err, &rep) {
 		t.Errorf("flag-package error not marked reported: %v", err)
 	}

@@ -1,17 +1,98 @@
 // CLI plumbing shared by every command: one flag block (-version,
-// -progress, -manifest, -events, plus the Profiler's flags) and one Session
+// -progress, -manifest, -events, plus the Profiler's flags), one Session
 // wrapper that turns the parsed flags into a running recorder and tears
-// everything down — manifest write included — in one Close call. Keeping
-// this here means each command adds observability with three calls:
-// Register, Start, Close.
+// everything down — manifest write included — in one Close call, and one
+// Command frame that runs a whole CLI on top of both: parse, -version,
+// resolve, session, body, and the 0/1/2 exit contract.
 package obs
 
 import (
 	"bufio"
+	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 )
+
+// ReportedError marks an error the flag package has already printed to
+// stderr (with usage), so the command must not print it a second time.
+type ReportedError struct{ Err error }
+
+func (e ReportedError) Error() string { return e.Err.Error() }
+func (e ReportedError) Unwrap() error { return e.Err }
+
+// Command is one CLI run through the shared frame. The frame owns the flag
+// set, the observability flags, -version and the session; the command
+// supplies its own flags, the resolve step that validates them, and the
+// body.
+type Command struct {
+	Tool      string
+	EngineTag string
+	// Obs receives the observability flag block.
+	Obs *CLIFlags
+	// Flags registers the command's own flags on fs and returns its resolve
+	// step. Resolve runs after a clean parse unless -version was given; it
+	// returns the run's Spec, StoreDir, TraceOut and Timeline (the frame
+	// fills in the rest of the SessionConfig).
+	Flags func(fs *flag.FlagSet) (resolve func() (SessionConfig, error))
+	// Body is the run itself; rec may be nil.
+	Body func(rec *Rec, stdout, stderr io.Writer) error
+}
+
+// Parse builds the flag set, parses args and, unless -version was given,
+// resolves them. A flag-package error (including flag.ErrHelp) comes back
+// as a ReportedError: it is already on stderr.
+func (c Command) Parse(args []string, stderr io.Writer) (SessionConfig, error) {
+	fs := flag.NewFlagSet(c.Tool, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	resolve := c.Flags(fs)
+	c.Obs.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return SessionConfig{}, ReportedError{err}
+	}
+	if c.Obs.Version {
+		return SessionConfig{}, nil
+	}
+	sc, err := resolve()
+	sc.Tool, sc.EngineTag, sc.Args, sc.Stderr = c.Tool, c.EngineTag, args, stderr
+	return sc, err
+}
+
+// Main runs the command and returns its exit code: 2 for a command-line
+// error, 1 for a run failure, 0 otherwise (-h and -version included). A
+// session teardown error surfaces only when the body succeeded.
+func (c Command) Main(args []string, stdout, stderr io.Writer) int {
+	sc, err := c.Parse(args, stderr)
+	if err != nil || c.Obs.Version {
+		if err == nil {
+			fmt.Fprintln(stdout, VersionLine(c.Tool, c.EngineTag))
+		}
+		return Exit(c.Tool, err, 2, stderr)
+	}
+	sess, err := c.Obs.Start(sc)
+	if err == nil {
+		err = c.Body(sess.Rec, stdout, stderr)
+		if cerr := sess.Close(err); err == nil {
+			err = cerr
+		}
+	}
+	return Exit(c.Tool, err, 1, stderr)
+}
+
+// Exit is the CLI failure contract: it returns 0 for a nil error or -h, and
+// code otherwise, after one "tool: err" line on stderr — none when the flag
+// package already printed the error.
+func Exit(tool string, err error, code int, stderr io.Writer) int {
+	var rep ReportedError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case !errors.As(err, &rep):
+		fmt.Fprintf(stderr, "%s: %v\n", tool, err)
+	}
+	return code
+}
 
 // CLIFlags is the observability flag block.
 type CLIFlags struct {
