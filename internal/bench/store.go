@@ -36,7 +36,8 @@ const (
 type TrialStore interface {
 	// Lookup decodes the cached result of the kind trial whose canonical
 	// spec is ps.Spec into out (a *Result or *ScenarioResult) and reports
-	// whether there was one.
+	// whether there was one. After a miss out is unspecified (a defective
+	// entry may have been partly decoded into it), so callers discard it.
 	Lookup(kind string, ps *PreparedSpec, out any) bool
 	// Put records res (a Result or ScenarioResult) under (kind, ps).
 	Put(kind string, ps *PreparedSpec, res any) error

@@ -32,6 +32,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -125,28 +126,40 @@ func parseRecord(buf []byte) (key string, payload []byte, err error) {
 	return hex.EncodeToString(buf[recHeaderLen : recHeaderLen+recKeyLen]), buf[recHeaderLen+recKeyLen:], nil
 }
 
+// scanReadStep bounds how far scanSegment's frame buffer grows ahead of the
+// bytes actually read, so a corrupt length field costs at most this much
+// memory, not the length it claims.
+const scanReadStep = 1 << 20
+
 // scanSegment reads framed records from r starting at byte offset from,
 // calling visit for each clean record. It returns the offset one past the
 // last clean record — the covered prefix — and stops silently at EOF, a
 // truncated frame, or a checksum mismatch: anything past the first bad
 // frame is unreachable garbage (a crashed flush's tail) until a repack.
+// The payload handed to visit is only valid during the call: the next
+// record reuses its buffer.
 func scanSegment(r io.Reader, from int64, visit func(key string, loc recLoc, payload []byte) error, seg int) (int64, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	off := from
-	var hdr [recHeaderLen]byte
+	var frame []byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		frame = slices.Grow(frame[:0], recHeaderLen)[:recHeaderLen]
+		if _, err := io.ReadFull(br, frame); err != nil {
 			return off, nil // EOF or torn header: clean prefix ends here
 		}
-		n := int(binary.BigEndian.Uint32(hdr[0:4]))
+		n := int(binary.BigEndian.Uint32(frame[0:4]))
 		if n < recKeyLen || n > maxRecordLen {
 			return off, nil
 		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return off, nil // truncated record
+		for len(frame) < recHeaderLen+n {
+			step := min(recHeaderLen+n-len(frame), scanReadStep)
+			frame = slices.Grow(frame, step)
+			got, err := io.ReadFull(br, frame[len(frame):len(frame)+step])
+			frame = frame[:len(frame)+got]
+			if err != nil {
+				return off, nil // truncated record
+			}
 		}
-		frame := append(hdr[:], body...)
 		key, payload, err := parseRecord(frame)
 		if err != nil {
 			return off, nil // checksum-corrupt record
@@ -303,7 +316,10 @@ func (s *Store) writeSidecar() error {
 
 // loadSidecar reads the sidecar into the in-memory index. A missing
 // sidecar is fine (empty index, full scan follows); an unparsable one is
-// discarded the same way — it is advisory.
+// discarded the same way — it is advisory. So is each entry: one that
+// cannot frame a record inside its segment's covered prefix (a negative
+// offset, a length no frame can have, a span past the prefix) is dropped:
+// its key misses, and the write-through (or calab index) re-indexes it.
 func (s *Store) loadSidecar() {
 	data, err := os.ReadFile(s.sidecarPath())
 	if err != nil {
@@ -322,7 +338,12 @@ func (s *Store) loadSidecar() {
 		s.covered[seg] = cov
 	}
 	for key, e := range sc.Entries {
-		s.index[key] = recLoc{seg: int(e[0]), off: e[1], n: int(e[2])}
+		seg, off, n := int(e[0]), e[1], e[2]
+		cov, ok := s.covered[seg]
+		if !ok || off < 0 || n < recHeaderLen+recKeyLen || n > recHeaderLen+int64(maxRecordLen) || n > cov-off {
+			continue
+		}
+		s.index[key] = recLoc{seg: seg, off: off, n: int(n)}
 	}
 }
 

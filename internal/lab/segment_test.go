@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -534,6 +535,156 @@ func TestSwappedSidecarEntriesMiss(t *testing.T) {
 	if got, ok := lookupTrial(st2, trialW(1)); !ok || !reflect.DeepEqual(got, want) {
 		t.Fatalf("trial 1 not healed (ok=%v)", ok)
 	}
+}
+
+// TestCorruptSidecarLengthMisses: the sidecar is advisory, so an entry
+// whose record length no frame can have must not reach readRecord's
+// allocation. A negative length or one past 2^62 used to panic every
+// lookup; one of 2^29 allocated 512 MiB per hit. Each must be a miss that
+// re-simulates and heals the index.
+func TestCorruptSidecarLengthMisses(t *testing.T) {
+	for _, n := range []int64{-1, 1 << 62, 1 << 29} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := (&bench.Runner{Store: st}).Run(trialW(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			side := filepath.Join(dir, "segments", "index.json")
+			data, err := os.ReadFile(side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sc sidecar
+			if err := json.Unmarshal(data, &sc); err != nil {
+				t.Fatal(err)
+			}
+			for k, e := range sc.Entries {
+				sc.Entries[k] = [3]int64{e[0], e[1], n}
+			}
+			if data, err = json.Marshal(sc); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(side, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			st2, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			got, err := (&bench.Runner{Store: st2}).Run(trialW(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("re-simulated result diverges from the stored one")
+			}
+			if s := st2.Stats(); s.Hits != 0 || s.Misses != 1 || s.Puts != 1 {
+				t.Fatalf("traffic %+v, want 1 miss healed by 1 put", s)
+			}
+			if res, ok := lookupTrial(st2, trialW(1)); !ok || !reflect.DeepEqual(res, want) {
+				t.Fatalf("entry not healed (ok=%v)", ok)
+			}
+		})
+	}
+}
+
+// TestScanBoundsCorruptLength: a frame header that claims maxRecordLen
+// bytes with only a few behind it must cost the index rebuild a bounded
+// allocation (the 1 MiB read buffer plus one read step), not the claimed
+// gigabyte, and the bytes it swallowed must not be indexed.
+func TestScanBoundsCorruptLength(t *testing.T) {
+	dir := t.TempDir()
+	spec, err := bench.TrialSpecBytes(trialW(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := key(bench.EngineTag(), bench.KindTrial, spec)
+	good, err := frameRecord(nil, k, []byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := binary.BigEndian.AppendUint32(nil, uint32(maxRecordLen))
+	seg = append(seg, 0, 0, 0, 0) // CRC
+	seg = append(seg, good...)
+	if err := os.MkdirAll(filepath.Join(dir, "segments"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "segments", segmentName(0)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := Open(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 8<<20 {
+		t.Fatalf("opening a segment with a corrupt length allocated %d bytes, want under 8 MiB", d)
+	}
+	if len(st.index) != 0 {
+		t.Fatalf("indexed %d records past the corrupt frame", len(st.index))
+	}
+	if st.covered[0] != 0 {
+		t.Fatalf("covered prefix %d, want 0", st.covered[0])
+	}
+}
+
+// FuzzLoadSidecar feeds arbitrary bytes to Open as the sidecar. Open must
+// not panic, and a lookup of each stored key must either hit with exactly
+// the stored result or miss.
+func FuzzLoadSidecar(f *testing.F) {
+	dir := f.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const trials = 3
+	for seed := uint64(1); seed <= trials; seed++ {
+		if err := putTrial(st, trialW(seed), bench.Result{Throughput: float64(seed)}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		f.Fatal(err)
+	}
+	side := filepath.Join(dir, "segments", "index.json")
+	data, err := os.ReadFile(side)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"version":1,"covered":{"0":99999},"entries":{}}`))
+	f.Add([]byte(`{"version":1,"covered":{"0":-5},"entries":{"00":[0,0,-1]}}`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(side, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		for seed := uint64(1); seed <= trials; seed++ {
+			if res, ok := lookupTrial(st, trialW(seed)); ok && !reflect.DeepEqual(res, bench.Result{Throughput: float64(seed)}) {
+				t.Fatalf("seed %d served %+v", seed, res)
+			}
+		}
+	})
 }
 
 // TestLazySpecEntriesDoNotDecodeResults: SpecEntry must carry the raw result

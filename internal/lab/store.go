@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -224,9 +225,9 @@ func formatBytes(n uint64) string {
 }
 
 // envelope is the entry payload format: a segment record's payload is one
-// envelope's JSON. Spec and Result are
-// the canonical serialized forms verbatim; Sum fingerprints Result so a
-// lookup (and Verify) can detect payload corruption.
+// envelope's JSON. Spec and Result are the canonical serialized forms
+// verbatim; Sum fingerprints Result so Verify, GC, the entry readers and
+// Merge can detect payload corruption.
 type envelope struct {
 	Tag    string          `json:"tag"`
 	Kind   string          `json:"kind"`
@@ -234,6 +235,22 @@ type envelope struct {
 	Sum    string          `json:"sum"`
 	Result json.RawMessage `json:"result"`
 }
+
+// hitEnvelope is the lookup side of envelope: Result holds the caller's
+// out, so the result decodes straight into it, and the fields a hit does
+// not read are checked for syntax and skipped without a copy.
+type hitEnvelope struct {
+	Tag    string  `json:"tag"`
+	Kind   string  `json:"kind"`
+	Spec   skipped `json:"spec"`
+	Sum    skipped `json:"sum"`
+	Result any     `json:"result"`
+}
+
+// skipped is a JSON value a hit does not read.
+type skipped struct{}
+
+func (*skipped) UnmarshalJSON([]byte) error { return nil }
 
 // key derives the content address of a spec under tag.
 func key(tag, kind string, spec []byte) string {
@@ -275,26 +292,35 @@ func (s *Store) loadKey(key string) []byte {
 	return payload
 }
 
-// lookupKey reads the entry at key into out. Any defect — missing record,
-// unparsable envelope, wrong kind, corrupt payload — is a miss: the caller
-// re-simulates and the write-through overwrites the bad entry.
+// lookupKey reads the entry at key into out (a pointer to a result) with
+// one JSON decode. The frame's CRC32-C over key and payload and the
+// frame-key match (readRecord) vouch for the bytes, and the decode is
+// strict: an unknown field of the envelope or of any struct in the result,
+// trailing bytes, another engine tag or kind, or a null result is a miss.
+// The result's SHA-256 fingerprint is not recomputed per hit; Verify, GC,
+// the entry readers and Merge check it. After a miss out is unspecified:
+// the caller re-simulates and the write-through overwrites the bad entry.
 func (s *Store) lookupKey(kind, key string, out any) bool {
 	data := s.loadKey(key)
-	if data == nil {
-		s.misses.Add(1)
-		return false
-	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil || env.Kind != kind || payloadSum(env.Result) != env.Sum {
-		s.misses.Add(1)
-		return false
-	}
-	if err := json.Unmarshal(env.Result, out); err != nil {
+	if data == nil || !s.decodeHit(data, kind, out) {
 		s.misses.Add(1)
 		return false
 	}
 	s.hits.Add(1)
 	return true
+}
+
+// decodeHit decodes one envelope payload into out and reports whether it is
+// a sound entry of kind under this store's tag.
+func (s *Store) decodeHit(data []byte, kind string, out any) bool {
+	env := hitEnvelope{Result: out}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if dec.Decode(&env) != nil || env.Tag != s.tag || env.Kind != kind || env.Result != out {
+		return false
+	}
+	_, err := dec.Token()
+	return err == io.EOF
 }
 
 // putKey writes the entry for (kind, spec) under its precomputed key as a

@@ -504,3 +504,105 @@ func TestTailSurvivesStoreEnvelope(t *testing.T) {
 		t.Fatalf("warm scenario result (incl. per-phase Tails) diverges from cold")
 	}
 }
+
+// TestLookupAllocBudget pins the work of one warm hit as a deterministic
+// count: allocations per Store.Lookup of a stored trial read back from its
+// segment, once without a tail and once with the eight tail histograms.
+// A hit is one strict decode of the envelope straight into the result; a
+// second decode of the result or of each histogram overruns the budget.
+// At the two-decode read path these were 28 and 146.
+func TestLookupAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tail   bool
+		budget float64
+	}{
+		{"no tail", false, 24},
+		{"tail", true, 33},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := bench.Workload{
+				DS: "list", Scheme: "rcu", Threads: 2, KeyRange: 32,
+				UpdatePct: 50, OpsPerThread: 40, Seed: 1, RecordTail: tc.tail,
+			}
+			st := openStore(t, dir)
+			want, err := (&bench.Runner{Store: st}).Run(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st = openStore(t, dir)
+			defer st.Close()
+			spec, err := bench.TrialSpecBytes(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := &bench.PreparedSpec{Spec: spec}
+			var res bench.Result
+			allocs := testing.AllocsPerRun(50, func() {
+				res = bench.Result{}
+				if !st.Lookup(bench.KindTrial, ps, &res) {
+					t.Fatal("stored trial missed")
+				}
+			})
+			if !reflect.DeepEqual(res, want) {
+				t.Fatal("hit diverges from the stored result")
+			}
+			if allocs > tc.budget {
+				t.Fatalf("a warm hit allocates %v times, budget %v", allocs, tc.budget)
+			}
+		})
+	}
+}
+
+// TestLookupDecodeIsStrict: with the fingerprint off the hot path, the
+// one decode a hit makes is what rejects a well-framed but wrong envelope.
+// Unknown fields at any depth, trailing bytes, another tag or kind, and a
+// null result are misses; the sound envelope decodes to its result.
+func TestLookupDecodeIsStrict(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	want := bench.Result{W: trialW(1), Ops: 7, Throughput: 1.5}
+	res, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sound, err := json.Marshal(envelope{
+		Tag: st.Tag(), Kind: bench.KindTrial, Spec: json.RawMessage(`{"DS":"list"}`),
+		Sum: payloadSum(res), Result: res,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bench.Result
+	if !st.decodeHit(sound, bench.KindTrial, &got) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("sound envelope: decoded %+v", got)
+	}
+	edit := func(old, new string) string {
+		t.Helper()
+		s := strings.Replace(string(sound), old, new, 1)
+		if s == string(sound) {
+			t.Fatalf("edit %q did not apply", old)
+		}
+		return s
+	}
+	for name, payload := range map[string]string{
+		"trailing bytes":       string(sound) + "{}",
+		"trailing garbage":     string(sound) + "x",
+		"unknown field":        edit(`{"tag"`, `{"extra":1,"tag"`),
+		"unknown nested field": edit(`"Ops":7`, `"Opz":7`),
+		"other kind":           edit(`"kind":"trial"`, `"kind":"scenario"`),
+		"other tag":            edit(`"tag":"`+st.Tag(), `"tag":"x`+st.Tag()[1:]),
+		"null result":          edit(`"result":`+string(res), `"result":null`),
+	} {
+		if st.decodeHit([]byte(payload), bench.KindTrial, new(bench.Result)) {
+			t.Errorf("%s: %s decoded as a hit", name, payload)
+		}
+	}
+}

@@ -9,9 +9,10 @@ import (
 // benchSweepConfig is the store-benchmark grid: 540 trials (2 schemes x 2
 // thread counts x 3 update mixes x 45 replicas) of a deliberately tiny
 // simulated workload, so the store's filesystem work — not the simulator —
-// dominates the measurement. BENCH_store.json records the interleaved A/B
-// numbers of the segment layout against the retired file-per-entry one on
-// this grid.
+// dominates the measurement. BENCH_store.json records interleaved A/B
+// numbers on this grid: the segment layout against the retired
+// file-per-entry one, and the one-decode read path against the two-decode
+// one.
 func benchSweepConfig(st bench.TrialStore) bench.SweepConfig {
 	return bench.SweepConfig{
 		DS: "list", Schemes: []string{"ca", "rcu"}, Threads: []int{1, 2},

@@ -22,7 +22,9 @@ package latency
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/bits"
+	"strconv"
 	"strings"
 )
 
@@ -229,7 +231,9 @@ func (h *Hist) Summary() Summary {
 // histJSON is the serialized form: scalar stats plus the non-empty buckets
 // as parallel index/count arrays (sparse — a trial touches a few dozen of
 // the 976 buckets). Field order is fixed, so the bytes are deterministic
-// and store envelopes round-trip bit for bit.
+// and store envelopes round-trip bit for bit. MarshalJSON and the
+// UnmarshalJSON fast path code its canonical compact form by hand; the
+// struct is the reference encoding/json decodes everything else through.
 type histJSON struct {
 	Count uint64   `json:"count"`
 	Sum   uint64   `json:"sum,omitempty"`
@@ -239,22 +243,78 @@ type histJSON struct {
 	N     []uint64 `json:"n,omitempty"`
 }
 
-// MarshalJSON encodes the histogram sparsely.
+// MarshalJSON encodes the histogram sparsely. It appends exactly the bytes
+// encoding/json emits for the histJSON form: "count", then "sum", "min"
+// and "max" when non-zero, then the non-empty buckets as "idx" and "n"
+// arrays when there are any.
 func (h Hist) MarshalJSON() ([]byte, error) {
-	j := histJSON{Count: h.n, Sum: h.sum, Min: h.min, Max: h.max}
-	for i, c := range h.counts {
+	nonEmpty := 0
+	for _, c := range h.counts {
 		if c != 0 {
-			j.Idx = append(j.Idx, i)
-			j.N = append(j.N, c)
+			nonEmpty++
 		}
 	}
-	return json.Marshal(j)
+	b := make([]byte, 0, 64+nonEmpty*24)
+	b = append(b, `{"count":`...)
+	b = strconv.AppendUint(b, h.n, 10)
+	b = appendNonZero(b, `,"sum":`, h.sum)
+	b = appendNonZero(b, `,"min":`, h.min)
+	b = appendNonZero(b, `,"max":`, h.max)
+	if nonEmpty > 0 {
+		b = appendBuckets(append(b, `,"idx":[`...), h.counts, true)
+		b = appendBuckets(append(b, `],"n":[`...), h.counts, false)
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendBuckets appends the index (idx set) or the count of every
+// non-empty bucket, comma-separated.
+func appendBuckets(b []byte, counts []uint64, idx bool) []byte {
+	sep := false
+	for i, c := range counts {
+		if c == 0 {
+			continue
+		}
+		if sep {
+			b = append(b, ',')
+		}
+		if idx {
+			c = uint64(i)
+		}
+		b = strconv.AppendUint(b, c, 10)
+		sep = true
+	}
+	return b
+}
+
+// appendNonZero appends an omitempty uint64 field: name, then v, unless v
+// is zero.
+func appendNonZero(b []byte, name string, v uint64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendUint(append(b, name...), v, 10)
 }
 
 // UnmarshalJSON decodes a sparse histogram. An empty histogram decodes to
 // the zero Hist (no bucket allocation), matching what Marshal produced it
-// from.
+// from. The canonical form MarshalJSON emits is parsed in one pass over
+// the bytes; any other input (whitespace, other field orders or spellings,
+// a malformed or out-of-range value) goes through encoding/json, so both
+// paths accept the same inputs, decode them to the same Hist and fail with
+// the same errors.
 func (h *Hist) UnmarshalJSON(data []byte) error {
+	if parsed, ok := parseCanonicalHist(data); ok {
+		*h = parsed
+		return nil
+	}
+	return h.unmarshalHistJSON(data)
+}
+
+// unmarshalHistJSON is the reference decode: encoding/json into histJSON,
+// then the length and range checks.
+func (h *Hist) unmarshalHistJSON(data []byte) error {
 	var j histJSON
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
@@ -274,6 +334,91 @@ func (h *Hist) UnmarshalJSON(data []byte) error {
 		h.counts[i] = j.N[k]
 	}
 	return nil
+}
+
+// parseCanonicalHist parses the canonical compact form MarshalJSON emits.
+// It reports false on any input it does not recognise as canonical and in
+// range: non-empty "idx" and "n" arrays of equal length, and every index a
+// bucket. The reference decode then handles that input, errors included.
+func parseCanonicalHist(data []byte) (Hist, bool) {
+	p := histParser{data: data}
+	var h Hist
+	ok := p.lit(`{"count":`) && p.uint(&h.n) &&
+		p.optional(`,"sum":`, &h.sum) && p.optional(`,"min":`, &h.min) && p.optional(`,"max":`, &h.max)
+	if !ok {
+		return Hist{}, false
+	}
+	if p.lit(`,"idx":[`) {
+		var stack [64]int
+		idx := stack[:0]
+		for {
+			var i uint64
+			if !p.uint(&i) || i >= NumBuckets {
+				return Hist{}, false
+			}
+			idx = append(idx, int(i))
+			if !p.lit(",") {
+				break
+			}
+		}
+		if !p.lit(`],"n":[`) {
+			return Hist{}, false
+		}
+		h.counts = make([]uint64, NumBuckets)
+		for k, i := range idx {
+			if (k > 0 && !p.lit(",")) || !p.uint(&h.counts[i]) {
+				return Hist{}, false
+			}
+		}
+		if !p.lit("]") {
+			return Hist{}, false
+		}
+	}
+	if !p.lit("}") || p.pos != len(p.data) {
+		return Hist{}, false
+	}
+	return h, true
+}
+
+// histParser is a cursor over canonical histogram JSON.
+type histParser struct {
+	data []byte
+	pos  int
+}
+
+// lit consumes s if the input continues with it.
+func (p *histParser) lit(s string) bool {
+	if len(p.data)-p.pos < len(s) || string(p.data[p.pos:p.pos+len(s)]) != s {
+		return false
+	}
+	p.pos += len(s)
+	return true
+}
+
+// uint consumes one canonical unsigned integer ("0", or digits without a
+// leading zero) that fits in a uint64.
+func (p *histParser) uint(v *uint64) bool {
+	start := p.pos
+	var n uint64
+	for p.pos < len(p.data) && '0' <= p.data[p.pos] && p.data[p.pos] <= '9' {
+		d := uint64(p.data[p.pos] - '0')
+		if n > (math.MaxUint64-d)/10 {
+			return false
+		}
+		n = n*10 + d
+		p.pos++
+	}
+	if p.pos == start || (p.data[start] == '0' && p.pos-start > 1) {
+		return false
+	}
+	*v = n
+	return true
+}
+
+// optional consumes name and the integer after it, if the input continues
+// with name.
+func (p *histParser) optional(name string, v *uint64) bool {
+	return !p.lit(name) || p.uint(v)
 }
 
 // Kind tags a recorded operation by what it did: the set/stack/queue

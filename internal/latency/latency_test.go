@@ -293,3 +293,106 @@ func TestResetKeepsAllocation(t *testing.T) {
 		t.Fatal("merging an empty histogram changed the target")
 	}
 }
+
+// marshalHistJSON is the reference encoding: the histJSON form through
+// encoding/json.
+func marshalHistJSON(h Hist) ([]byte, error) {
+	j := histJSON{Count: h.n, Sum: h.sum, Min: h.min, Max: h.max}
+	for i, c := range h.counts {
+		if c != 0 {
+			j.Idx = append(j.Idx, i)
+			j.N = append(j.N, c)
+		}
+	}
+	return json.Marshal(j)
+}
+
+// sameHist reports whether a and b hold the same statistics and bucket
+// counts, treating an unallocated bucket array as all zeros.
+func sameHist(a, b Hist) bool {
+	if a.n != b.n || a.sum != b.sum || a.min != b.min || a.max != b.max {
+		return false
+	}
+	for i := 0; i < NumBuckets; i++ {
+		var ca, cb uint64
+		if a.counts != nil {
+			ca = a.counts[i]
+		}
+		if b.counts != nil {
+			cb = b.counts[i]
+		}
+		if ca != cb {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzHistJSON checks the hand-written histogram codec against
+// encoding/json. For any input, UnmarshalJSON must fail with the reference
+// decode's error or succeed with its exact Hist; and any Hist that decodes
+// must marshal to the reference encoding byte for byte, and decode back to
+// the same statistics.
+func FuzzHistJSON(f *testing.F) {
+	// A simulated list/rcu trial's total latency histogram, verbatim.
+	f.Add([]byte(`{"count":80,"sum":11612,"min":26,"max":765,"idx":[26,27,28,30,32,33,34,35,36,37,38,39,40,41,43,44,45,46,50,51,55,56,57,58,59,62,64,68,69,75,76,77,80,81,82,86,87,88,93,95,96,100,103],"n":[1,1,2,1,2,3,5,3,2,1,2,1,4,4,4,1,1,2,1,1,2,1,3,2,2,2,1,2,1,1,3,3,3,1,2,1,1,1,1,1,2,1,1]}`))
+	// Every histogram of a recorded Tail, as the store envelope holds them.
+	rng := rand.New(rand.NewSource(5))
+	var tl Tail
+	for i := 0; i < 500; i++ {
+		tl.Record(Kind(rng.Intn(3)), Attr(rng.Intn(3)), randomSamples(rng, 1)[0])
+	}
+	tl.RecordPause(math.MaxUint64)
+	for _, h := range []*Hist{&tl.Total, &tl.Insert, &tl.Delete, &tl.Read, &tl.Useful, &tl.Reclaim, &tl.Retry, &tl.Pause, {}} {
+		data, err := h.MarshalJSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, ok := parseCanonicalHist(data); !ok {
+			f.Fatalf("%s is not parsed as canonical", data)
+		}
+		f.Add(data)
+	}
+	// Inputs off the canonical form, each handled by the reference path.
+	for _, s := range []string{
+		`null`, `{}`, `{"count":0}`, ` {"count":1}`, `{"count":1,"sum":0}`,
+		`{"sum":2,"count":1}`, `{"count":1,"count":2}`, `{"COUNT":3}`,
+		`{"count":1,"idx":[],"n":[]}`, `{"count":1,"idx":[1,2],"n":[3]}`,
+		`{"count":1,"idx":[99999],"n":[1]}`, `{"count":1,"idx":[-1],"n":[1]}`,
+		`{"count":1,"idx":[3,3],"n":[1,2]}`, `{"count":1,"idx":[3],"n":[0]}`,
+		`{"count":18446744073709551616}`, `{"count":01}`, `{"count":1.0}`,
+		`{"count":1}x`, `{"count":1,"n":[1]}`,
+	} {
+		f.Add([]byte(s))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got, want Hist
+		gotErr := got.UnmarshalJSON(data)
+		wantErr := want.unmarshalHistJSON(data)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("UnmarshalJSON(%q) error %v, reference %v", data, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("UnmarshalJSON(%q) = %+v, reference %+v", data, got, want)
+		}
+		if gotErr != nil {
+			return
+		}
+		enc, err := got.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := marshalHistJSON(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(enc) != string(ref) {
+			t.Fatalf("MarshalJSON = %s, reference %s", enc, ref)
+		}
+		var back Hist
+		if err := back.UnmarshalJSON(enc); err != nil || !sameHist(back, got) {
+			t.Fatalf("%s does not decode back to its Hist (err %v)", enc, err)
+		}
+	})
+}
