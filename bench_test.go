@@ -71,12 +71,7 @@ func BenchmarkFig3Footprint(b *testing.B) {
 		b.Run(scheme, func(b *testing.B) {
 			var live float64
 			for i := 0; i < b.N; i++ {
-				res, err := bench.Run(bench.Workload{
-					DS: "list", Scheme: scheme,
-					Threads: 16, KeyRange: 1000, UpdatePct: 100,
-					OpsPerThread: 1000, Seed: uint64(i) + 1,
-					FootprintEvery: 1000,
-				})
+				res, err := bench.Run(bench.Fig3Workload(scheme, 1000, uint64(i)+1, false))
 				if err != nil {
 					b.Fatal(err)
 				}

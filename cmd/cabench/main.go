@@ -13,6 +13,7 @@
 //	cabench -ds list -schemes ca,rcu -check                     # with safety assertions
 //	cabench -ds list -trials 3 -workers 8                       # parallel trial execution
 //	cabench -ds list -trials 3 -store results/store             # warm cells skip simulation
+//	cabench -ds bst -range 1000 -threads 8 -updates 100 -lat    # per-point cache/CA/SMR/memory/latency detail
 package main
 
 import (
@@ -189,20 +190,14 @@ func sweep(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
 		sink = &trace.Sink{}
 		cfg.Trace = sink
 	}
-	lat := cfg.RecordLatency
 	var progress func(bench.SweepPoint)
-	if opt.verbose || lat {
+	if opt.verbose {
 		total := len(cfg.Schemes) * len(cfg.Threads) * len(cfg.Updates)
 		n := 0
 		progress = func(p bench.SweepPoint) {
 			n++
-			fmt.Fprintf(stderr, "  [%3d/%3d] %-5s t=%-2d u=%3d%%: %10.1f ops/Mcyc",
+			fmt.Fprintf(stderr, "  [%3d/%3d] %-5s t=%-2d u=%3d%%: %10.1f ops/Mcyc\n",
 				n, total, p.Scheme, p.Threads, p.UpdatePct, p.Throughput)
-			if lat {
-				l := p.Result.Latency
-				fmt.Fprintf(stderr, "  p50=%d p99=%d p99.9=%d max=%d", l.P50, l.P99, l.P999, l.Max)
-			}
-			fmt.Fprintln(stderr)
 		}
 	}
 	points, err := bench.Sweep(cfg, progress)
@@ -221,6 +216,9 @@ func sweep(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
 		fmt.Fprint(stdout, bench.FormatTable(points, u))
 		fmt.Fprintln(stdout)
 	}
+	if cfg.RecordLatency {
+		printDetail(stdout, points)
+	}
 	if opt.tail {
 		printTail(stdout, points)
 	}
@@ -238,6 +236,36 @@ func sweep(opt options, rec *obs.Rec, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	return nil
+}
+
+// printDetail renders each point's last trial in detail: cache traffic,
+// Conditional Access or reclaimer activity, memory footprint, and exact
+// per-op latency percentiles.
+func printDetail(w io.Writer, points []bench.SweepPoint) {
+	fmt.Fprintln(w, "== per-point detail, last trial ==")
+	for _, p := range points {
+		res := p.Result
+		fmt.Fprintf(w, "-- %s t=%d u=%d%%: %.1f ops/Mcyc --\n", p.Scheme, p.Threads, p.UpdatePct, res.Throughput)
+		c := res.Cache
+		accesses := c.L1Hits + c.L1Misses
+		fmt.Fprintf(w, "  cache:   %d accesses, L1 hit %.2f%%, L2 miss %d, remote-fwd %d, invalidations %d, upgrades %d, L1 evictions %d\n",
+			accesses, 100*float64(c.L1Hits)/float64(max(accesses, 1)),
+			c.L2Misses, c.RemoteFwds, c.Invalidations, c.Upgrades, c.L1Evictions)
+		if p.Scheme == "ca" {
+			a := res.CA
+			fmt.Fprintf(w, "  ca:      %d creads (%d failed), %d cwrites (%d failed, %d untagged), %d revocations, max tagset %d\n",
+				a.CReads, a.CReadFails, a.CWrites, a.CWriteFails, a.Untagged, a.Revocations, a.MaxTagSet)
+		} else if p.Scheme != "none" {
+			s := res.SMR
+			fmt.Fprintf(w, "  smr:     retired %d, freed %d, scans %d, max backlog %d\n",
+				s.Retired, s.Freed, s.Scans, s.MaxBacklog)
+		}
+		fmt.Fprintf(w, "  memory:  live %d nodes, peak %d, heap high-water %d lines\n",
+			res.Mem.NodeLive(), res.Mem.PeakLive, res.Mem.NodeAllocs-res.Mem.NodeFrees+res.Mem.InfraLines)
+		l := res.Latency
+		fmt.Fprintf(w, "  latency: p50 %d, p90 %d, p99 %d, p99.9 %d, max %d cycles (retries %d)\n\n",
+			l.P50, l.P90, l.P99, l.P999, l.Max, res.Retries)
+	}
 }
 
 // printTail renders the per-point tail-latency table: percentiles of the

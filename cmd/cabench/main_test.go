@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -201,5 +202,49 @@ func TestRunFailureModes(t *testing.T) {
 				t.Errorf("stderr is not a bare one-line diagnosis:\n%s", got)
 			}
 		})
+	}
+}
+
+// TestLatDetailMatchesCastat pins -lat's per-point detail blocks to the
+// output the former standalone castat command printed for
+// `castat -threads 4 -ops 200`: the same workloads, so the same cache,
+// ca/smr, memory and latency lines, byte for byte. A warm re-run from a
+// store prints the same bytes, and -lat alone prints no progress lines.
+func TestLatDetailMatchesCastat(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "castat_threads4_ops200.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// castat opened with a workload line and a blank line, then headed each
+	// scheme's block "== scheme: X ops/Mcyc ==".
+	_, blocks, ok := strings.Cut(string(golden), "\n\n")
+	if !ok {
+		t.Fatal("golden has no header")
+	}
+	var want strings.Builder
+	want.WriteString("== per-point detail, last trial ==\n")
+	for _, line := range strings.SplitAfter(blocks, "\n") {
+		if head, ok := strings.CutPrefix(line, "== "); ok {
+			scheme, tp, _ := strings.Cut(strings.TrimSuffix(head, " ==\n"), ": ")
+			line = fmt.Sprintf("-- %s t=4 u=100%%: %s --\n", scheme, tp)
+		}
+		want.WriteString(line)
+	}
+	args := []string{"-threads", "4", "-updates", "100", "-ops", "200", "-range", "1000", "-lat",
+		"-store", filepath.Join(t.TempDir(), "store")}
+	for _, pass := range []struct{ name, stats string }{
+		{"cold", "store: 0 hits, 7 misses (0% warm)"},
+		{"warm", "store: 7 hits, 0 misses (100% warm)"},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s run = %d (stderr %q)", pass.name, code, stderr.String())
+		}
+		if got := stdout.String(); !strings.HasSuffix(got, want.String()) {
+			t.Errorf("%s: -lat detail does not match castat:\ngot:\n%s\nwant suffix:\n%s", pass.name, got, want.String())
+		}
+		if got := stderr.String(); strings.Count(got, "\n") != 1 || !strings.HasPrefix(got, pass.stats) {
+			t.Errorf("%s: stderr = %q, want only the %q line", pass.name, got, pass.stats)
+		}
 	}
 }

@@ -1,5 +1,5 @@
 // calab manages experiment-lab result stores: the persistent,
-// content-addressed trial caches that cabench/cascenario/figures/camem fill
+// content-addressed trial caches that cabench/cascenario/figures fill
 // through their -store flag.
 //
 //	calab inspect -store DIR            # engine tags, entry counts, per-cell replication statistics

@@ -1,6 +1,6 @@
 // The runs subcommand reads the manifests the obs package writes: every
-// instrumented cabench/cascenario/camem/castat/figures invocation drops a
-// JSON run record (under <store>/runs by default), and calab is the reader —
+// instrumented cabench/cascenario/figures invocation drops a JSON run
+// record (under <store>/runs by default), and calab is the reader —
 // list an archive of runs, inspect one, or A/B two runs' timing rollups.
 package main
 

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -113,10 +114,9 @@ func (opt *options) register(fs *flag.FlagSet) func() (obs.SessionConfig, error)
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its exit code and streams surfaced, so the failure modes
-// (bad flags, unopenable store, uncreatable output directory) are pinned by
-// tests; the shared frame keeps the one-line, 0/1/2 exit contract. The
-// figure jobs themselves stream their panel summaries to the process
-// stdout.
+// (bad flags, unopenable store, uncreatable output directory, unwritable
+// CSV) and the panels are pinned by tests; the shared frame keeps the
+// one-line, 0/1/2 exit contract.
 func run(args []string, stdout, stderr io.Writer) int {
 	return command(new(options)).Main(args, stdout, stderr)
 }
@@ -125,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // out-of-band: stdout is byte-identical with or without it.
 func (opt *options) figures(rec *obs.Rec, stdout, stderr io.Writer) (err error) {
 	g := opt.g
-	g.rec = rec
+	g.rec, g.stdout = rec, stdout
 	store, finish, err := lab.OpenForRun(opt.storePath, rec, stderr)
 	if err != nil {
 		return err
@@ -173,7 +173,14 @@ type generator struct {
 	memOps  int
 	workers int
 	store   bench.TrialStore
-	rec     *obs.Rec // out-of-band instrumentation; nil disables recording
+	rec     *obs.Rec  // out-of-band instrumentation; nil disables recording
+	stdout  io.Writer // panel summaries
+}
+
+// writeCSV writes a job's finished CSV into the output directory, returning
+// the write error or, failing that, the close error.
+func (g generator) writeCSV(name string, csv *bytes.Buffer) error {
+	return os.WriteFile(filepath.Join(g.out, name), csv.Bytes(), 0o666)
 }
 
 // runAt executes one standalone trial through the store (the ablations'
@@ -204,14 +211,13 @@ func (g generator) sweepFig(name, ds string) error {
 		return err
 	}
 	for _, u := range cfg.Updates {
-		fmt.Printf("-- %s %d%% updates [ops/Mcyc] --\n%s", ds, u, bench.FormatTable(points, u))
+		fmt.Fprintf(g.stdout, "-- %s %d%% updates [ops/Mcyc] --\n%s", ds, u, bench.FormatTable(points, u))
 	}
-	f, err := os.Create(filepath.Join(g.out, name+".csv"))
-	if err != nil {
+	var csv bytes.Buffer
+	if err := bench.WriteCSV(&csv, ds, points); err != nil {
 		return err
 	}
-	defer f.Close()
-	return bench.WriteCSV(f, ds, points)
+	return g.writeCSV(name+".csv", &csv)
 }
 
 func (g generator) fig1list() error  { return g.sweepFig("fig1_list", "list") }
@@ -219,48 +225,54 @@ func (g generator) fig1bst() error   { return g.sweepFig("fig1_bst", "bst") }
 func (g generator) fig2hash() error  { return g.sweepFig("fig2_hash", "hash") }
 func (g generator) fig2stack() error { return g.sweepFig("fig2_stack", "stack") }
 
+// fig3mem is Figure 3: the number of nodes allocated but not yet freed as
+// the lazy list runs a 100% update workload, per scheme. Expected shape: ca
+// stays flat at the live list size (~500); hp/he/ibr plateau at their
+// reclamation thresholds; rcu/qsbr ride higher; none grows without bound.
 func (g generator) fig3mem() error {
-	f, err := os.Create(filepath.Join(g.out, "fig3_mem.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "scheme,ops,live_nodes")
 	ws := make([]bench.Workload, len(allSchemes))
 	for i, scheme := range allSchemes {
-		ws[i] = bench.Workload{
-			DS: "list", Scheme: scheme,
-			Threads: 16, KeyRange: 1000, UpdatePct: 100,
-			OpsPerThread: g.memOps, Seed: g.seed, Check: g.check,
-			FootprintEvery: 1000,
-		}
+		ws[i] = bench.Fig3Workload(scheme, g.memOps, g.seed, g.check)
 	}
 	results, err := bench.RunManyObserved(ws, g.workers, g.store, g.rec)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(g.stdout, "Figure 3: allocated-but-not-freed nodes, lazy list, %d threads, 100%% updates\n", ws[0].Threads)
+	fmt.Fprintf(g.stdout, "%-10s", "ops")
+	for _, scheme := range allSchemes {
+		fmt.Fprintf(g.stdout, " %8s", scheme)
+	}
+	fmt.Fprintln(g.stdout)
+	// Every scheme completes the same number of operations, so all share
+	// one sample axis: the table's rows.
+	for j, s := range results[0].Footprint {
+		fmt.Fprintf(g.stdout, "%-10d", s.AfterOps)
+		for _, res := range results {
+			fmt.Fprintf(g.stdout, " %8d", res.Footprint[j].Live)
+		}
+		fmt.Fprintln(g.stdout)
+	}
+	var csv bytes.Buffer
+	fmt.Fprintln(&csv, "scheme,ops,live_nodes")
 	for i, scheme := range allSchemes {
 		res := results[i]
 		last := res.Footprint[len(res.Footprint)-1]
-		fmt.Printf("%-5s: final live %5d after %d ops (peak %d)\n",
+		fmt.Fprintf(g.stdout, "%-5s: final live %5d after %d ops (peak %d)\n",
 			scheme, last.Live, last.AfterOps, res.Mem.PeakLive)
 		for _, s := range res.Footprint {
-			fmt.Fprintf(f, "%s,%d,%d\n", scheme, s.AfterOps, s.Live)
+			fmt.Fprintf(&csv, "%s,%d,%d\n", scheme, s.AfterOps, s.Live)
 		}
 	}
-	return nil
+	return g.writeCSV("fig3_mem.csv", &csv)
 }
 
 // assoc reproduces the Section III claim that L1 associativity (the tagSet
 // capacity bound) has no significant impact: spurious revocations from
 // self-evictions stay negligible even at low associativity.
 func (g generator) assoc() error {
-	f, err := os.Create(filepath.Join(g.out, "ablation_assoc.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "l1_assoc,ops_per_mcyc,retries,self_evict_revocations,creads")
+	var csv bytes.Buffer
+	fmt.Fprintln(&csv, "l1_assoc,ops_per_mcyc,retries,self_evict_revocations,creads")
 	threads := 16
 	assocs := []int{2, 4, 8, 16}
 	labels := make([]string, len(assocs))
@@ -279,11 +291,11 @@ func (g generator) assoc() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("assoc=%2d: %9.1f ops/Mcyc, retries %6d, revocations %6d (creads %d)\n",
+		fmt.Fprintf(g.stdout, "assoc=%2d: %9.1f ops/Mcyc, retries %6d, revocations %6d (creads %d)\n",
 			assoc, res.Throughput, res.Retries, res.CA.Revocations, res.CA.CReads)
-		fmt.Fprintf(f, "%d,%.2f,%d,%d,%d\n", assoc, res.Throughput, res.Retries, res.CA.Revocations, res.CA.CReads)
+		fmt.Fprintf(&csv, "%d,%.2f,%d,%d,%d\n", assoc, res.Throughput, res.Retries, res.CA.Revocations, res.CA.CReads)
 	}
-	return nil
+	return g.writeCSV("ablation_assoc.csv", &csv)
 }
 
 // smt exercises the paper's Section III SMT integration: the same 16
@@ -291,12 +303,8 @@ func (g generator) assoc() error {
 // Hyperthread siblings revoke each other's tags on every write to a shared
 // line, so CA retries more under SMT; the measurement quantifies the cost.
 func (g generator) smt() error {
-	f, err := os.Create(filepath.Join(g.out, "ablation_smt.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "threads_per_core,scheme,ops_per_mcyc,retries")
+	var csv bytes.Buffer
+	fmt.Fprintln(&csv, "threads_per_core,scheme,ops_per_mcyc,retries")
 	schemes := []string{"ca", "rcu"}
 	var labels []string
 	for _, tpc := range []int{1, 2} {
@@ -317,12 +325,12 @@ func (g generator) smt() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("smt=%d %-4s: %9.1f ops/Mcyc, retries %d\n", tpc, scheme, res.Throughput, res.Retries)
-			fmt.Fprintf(f, "%d,%s,%.2f,%d\n", tpc, scheme, res.Throughput, res.Retries)
+			fmt.Fprintf(g.stdout, "smt=%d %-4s: %9.1f ops/Mcyc, retries %d\n", tpc, scheme, res.Throughput, res.Retries)
+			fmt.Fprintf(&csv, "%d,%s,%.2f,%d\n", tpc, scheme, res.Throughput, res.Retries)
 			pt++
 		}
 	}
-	return nil
+	return g.writeCSV("ablation_smt.csv", &csv)
 }
 
 // hmlist measures the future-work extension: the Harris-Michael lock-free
@@ -339,14 +347,13 @@ func (g generator) hmlist() error {
 		return err
 	}
 	for _, u := range cfg.Updates {
-		fmt.Printf("-- hmlist %d%% updates [ops/Mcyc] --\n%s", u, bench.FormatTable(points, u))
+		fmt.Fprintf(g.stdout, "-- hmlist %d%% updates [ops/Mcyc] --\n%s", u, bench.FormatTable(points, u))
 	}
-	f, err := os.Create(filepath.Join(g.out, "ext_hmlist.csv"))
-	if err != nil {
+	var csv bytes.Buffer
+	if err := bench.WriteCSV(&csv, "hmlist", points); err != nil {
 		return err
 	}
-	defer f.Close()
-	return bench.WriteCSV(f, "hmlist", points)
+	return g.writeCSV("ext_hmlist.csv", &csv)
 }
 
 // tail reproduces the paper's Section I tail-latency critique with the
@@ -358,12 +365,8 @@ func (g generator) hmlist() error {
 // plus the reclamation-pause CDF — the "long program interruptions"
 // themselves, which the attribution split isolates from contention retries.
 func (g generator) tail() error {
-	f, err := os.Create(filepath.Join(g.out, "fig_tail_cdf.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "config,series,cycles,cdf")
+	var csv bytes.Buffer
+	fmt.Fprintln(&csv, "config,series,cycles,cdf")
 	configs := []struct {
 		name string
 		w    bench.Workload
@@ -405,15 +408,15 @@ func (g generator) tail() error {
 			cum := uint64(0)
 			for _, b := range h.Buckets() {
 				cum += b.Count
-				fmt.Fprintf(f, "%s,%s,%d,%.6f\n", tc.name, sr.name, b.Hi, float64(cum)/float64(total))
+				fmt.Fprintf(&csv, "%s,%s,%d,%.6f\n", tc.name, sr.name, b.Hi, float64(cum)/float64(total))
 			}
 		}
 		s := t.Total.Summary()
-		fmt.Printf("%-12s: p50 %5d  p99 %5d  p99.9 %5d  max %5d  | reclaim-tagged %d/%d ops, pause p99 %d\n",
+		fmt.Fprintf(g.stdout, "%-12s: p50 %5d  p99 %5d  p99.9 %5d  max %5d  | reclaim-tagged %d/%d ops, pause p99 %d\n",
 			tc.name, s.P50, s.P99, s.P999, s.Max,
 			t.Reclaim.Count(), t.Total.Count(), t.Pause.Quantile(0.99))
 	}
-	return nil
+	return g.writeCSV("fig_tail_cdf.csv", &csv)
 }
 
 // timeline renders the pause-storm picture behind the Section I critique as
@@ -425,12 +428,8 @@ func (g generator) tail() error {
 // schemes' periodic pause spikes line up against CA's flat zero-pause line
 // on a shared simulated-time axis.
 func (g generator) timeline() error {
-	f, err := os.Create(filepath.Join(g.out, "fig_timeline.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "config,window_start,window_end,ops,insert,delete,read,retries,pause_cycles")
+	var csv bytes.Buffer
+	fmt.Fprintln(&csv, "config,window_start,window_end,ops,insert,delete,read,retries,pause_cycles")
 	sc, err := scenario.Preset(scenario.PresetChurnDrain)
 	if err != nil {
 		return err
@@ -474,25 +473,21 @@ func (g generator) timeline() error {
 				peak = ops
 			}
 			pauseSum += row.Pause
-			fmt.Fprintf(f, "%s,%d,%d,%d,%d,%d,%d,%d,%d\n",
+			fmt.Fprintf(&csv, "%s,%d,%d,%d,%d,%d,%d,%d,%d\n",
 				tc.name, row.Start, row.End, ops, row.Insert, row.Delete, row.Read, row.Retries, row.Pause)
 		}
-		fmt.Printf("%-12s: %3d windows of %d kcycles, peak %4d ops/window, pause cycles %d\n",
+		fmt.Fprintf(g.stdout, "%-12s: %3d windows of %d kcycles, peak %4d ops/window, pause cycles %d\n",
 			tc.name, len(tl.Rows()), tl.Window/1000, peak, pauseSum)
 	}
-	return nil
+	return g.writeCSV("fig_timeline.csv", &csv)
 }
 
 // tuning reproduces the paper's motivation: the baselines' throughput and
 // footprint depend on the reclamation and epoch frequencies the programmer
 // must pick, while CA has no parameters at all.
 func (g generator) tuning() error {
-	f, err := os.Create(filepath.Join(g.out, "ablation_tuning.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintln(f, "scheme,reclaim_every,epoch_every,ops_per_mcyc,live_nodes,peak_live")
+	var csv bytes.Buffer
+	fmt.Fprintln(&csv, "scheme,reclaim_every,epoch_every,ops_per_mcyc,live_nodes,peak_live")
 	threads := 16
 	type cfg struct{ reclaim, epoch int }
 	grid := []cfg{{1, 10}, {10, 50}, {30, 150}, {100, 500}, {1000, 5000}}
@@ -520,7 +515,7 @@ func (g generator) tuning() error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(f, "%s,%d,%d,%.2f,%d,%d\n",
+			fmt.Fprintf(&csv, "%s,%d,%d,%.2f,%d,%d\n",
 				scheme, tc.reclaim, tc.epoch, res.Throughput, res.Mem.NodeLive(), res.Mem.PeakLive)
 			row = append(row, fmt.Sprintf("r%d/e%d: %.0f ops/Mcyc peak %d",
 				tc.reclaim, tc.epoch, res.Throughput, res.Mem.PeakLive))
@@ -529,7 +524,7 @@ func (g generator) tuning() error {
 				break // CA has no parameters; one point suffices
 			}
 		}
-		fmt.Printf("%-4s %s\n", scheme, strings.Join(row, " | "))
+		fmt.Fprintf(g.stdout, "%-4s %s\n", scheme, strings.Join(row, " | "))
 	}
-	return nil
+	return g.writeCSV("ablation_tuning.csv", &csv)
 }

@@ -126,6 +126,7 @@ func TestRunFailureModes(t *testing.T) {
 	if err := os.WriteFile(plain, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	full := t.TempDir()
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -134,8 +135,12 @@ func TestRunFailureModes(t *testing.T) {
 		{"unopenable store", []string{"-store", filepath.Join(plain, "store")}, 1},
 		{"uncreatable output dir", []string{"-out", filepath.Join(plain, "results")}, 1},
 		{"unknown figure", []string{"-fig", "nope"}, 2},
+		{"unwritable CSV", []string{"-quick", "-fig", "tail", "-out", full}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "unwritable CSV" {
+				fullCSV(t, full, "fig_tail_cdf.csv")
+			}
 			var stdout, stderr strings.Builder
 			code := run(tc.args, &stdout, &stderr)
 			if code != tc.code {
@@ -163,5 +168,74 @@ func TestVersionFlag(t *testing.T) {
 	}
 	if stderr.Len() != 0 {
 		t.Errorf("stderr = %q, want empty", stderr.String())
+	}
+}
+
+// TestFig3TableMatchesCamem pins the Figure 3 panel: at 200 ops per thread
+// it opens with the heading and ops x scheme table the former standalone
+// camem command printed for `camem -ops 200`, byte for byte.
+func TestFig3TableMatchesCamem(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "camem_ops200.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout strings.Builder
+	g := generator{out: t.TempDir(), seed: 1, memOps: 200, workers: 2, stdout: &stdout}
+	if err := g.fig3mem(); err != nil {
+		t.Fatal(err)
+	}
+	if got := stdout.String(); !strings.HasPrefix(got, string(want)) {
+		t.Errorf("fig3mem panel does not open with the camem table:\ngot:\n%s\nwant prefix:\n%s", got, want)
+	}
+	csv, err := os.ReadFile(filepath.Join(g.out, "fig3_mem.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(csv), "scheme,ops,live_nodes\nnone,1000,752\n") {
+		t.Errorf("fig3_mem.csv does not hold the table's numbers:\n%s", csv)
+	}
+}
+
+// fullCSV points name in dir at /dev/full, so creating it succeeds and
+// every write fails with ENOSPC.
+func fullCSV(t *testing.T, dir, name string) {
+	t.Helper()
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	if err := os.Symlink("/dev/full", filepath.Join(dir, name)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEveryJobReportsCSVWriteError runs each figure job at a tiny scale
+// into an output directory whose CSV for that job is /dev/full: every job
+// must return the write error, none may drop it.
+func TestEveryJobReportsCSVWriteError(t *testing.T) {
+	for _, tc := range []struct {
+		csv string
+		job func(generator) error
+	}{
+		{"fig2_stack.csv", generator.fig2stack},
+		{"fig3_mem.csv", generator.fig3mem},
+		{"ablation_assoc.csv", generator.assoc},
+		{"ablation_tuning.csv", generator.tuning},
+		{"ablation_smt.csv", generator.smt},
+		{"ext_hmlist.csv", generator.hmlist},
+		{"fig_tail_cdf.csv", generator.tail},
+		{"fig_timeline.csv", generator.timeline},
+	} {
+		t.Run(tc.csv, func(t *testing.T) {
+			dir := t.TempDir()
+			fullCSV(t, dir, tc.csv)
+			g := generator{
+				out: dir, seed: 1, threads: []int{2}, ops: 20, trials: 1,
+				memOps: 100, workers: 2, stdout: io.Discard,
+			}
+			err := tc.job(g)
+			if err == nil || !strings.Contains(err.Error(), tc.csv) {
+				t.Errorf("job writing %s to /dev/full returned %v", tc.csv, err)
+			}
+		})
 	}
 }

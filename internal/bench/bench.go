@@ -108,6 +108,18 @@ type FootprintSample struct {
 	Live     uint64
 }
 
+// Fig3Workload is the paper's Figure 3 workload for scheme: the lazy list
+// at 16 threads over 1000 keys (a ~500-node list), 100% updates, with the
+// allocated-not-freed footprint sampled every 1000 operations.
+func Fig3Workload(scheme string, opsPerThread int, seed uint64, check bool) Workload {
+	return Workload{
+		DS: "list", Scheme: scheme,
+		Threads: 16, KeyRange: 1000, UpdatePct: 100,
+		OpsPerThread: opsPerThread, Seed: seed, Check: check,
+		FootprintEvery: 1000,
+	}
+}
+
 // Result aggregates one trial.
 type Result struct {
 	W           Workload

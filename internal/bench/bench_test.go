@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestRunAllPairsSmoke(t *testing.T) {
 	for _, ds := range Structures() {
@@ -57,6 +60,19 @@ func TestFootprintSampling(t *testing.T) {
 			t.Fatalf("CA footprint ballooned: %d live after %d ops (prefill %d)",
 				s.Live, s.AfterOps, res.PrefillSize)
 		}
+	}
+}
+
+// TestFig3WorkloadIsThePapers pins Figure 3's configuration: the lazy list
+// at 16 threads over 1000 keys, 100% updates, sampled every 1000 ops.
+func TestFig3WorkloadIsThePapers(t *testing.T) {
+	want := Workload{
+		DS: "list", Scheme: "rcu",
+		Threads: 16, KeyRange: 1000, UpdatePct: 100,
+		OpsPerThread: 5000, Seed: 3, Check: true, FootprintEvery: 1000,
+	}
+	if got := Fig3Workload("rcu", 5000, 3, true); !reflect.DeepEqual(got, want) {
+		t.Errorf("Fig3Workload = %+v, want %+v", got, want)
 	}
 }
 

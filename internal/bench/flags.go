@@ -33,7 +33,7 @@ func (t *TrialFlags) Register(fs *flag.FlagSet) {
 	fs.Uint64Var(&t.Seed, "seed", 1, "base RNG seed")
 	fs.BoolVar(&t.Check, "check", false, "enable use-after-free and Theorem 6/7 assertions")
 	fs.StringVar(&t.Dist, "dist", "uniform", "key distribution: uniform or zipf (a scenario's default for phases that name none)")
-	fs.BoolVar(&t.Lat, "lat", false, "also print latency percentiles per sweep point or scenario phase")
+	fs.BoolVar(&t.Lat, "lat", false, "also print latency percentiles per scenario phase, or a detail block per sweep point (cache, reclamation, memory, latency of its last trial)")
 	fs.BoolVar(&t.Tail, "tail", false, "print tail-latency tables per sweep point or scenario phase, all trials merged")
 	fs.BoolVar(&t.Timeline, "timeline", false, "record and print windowed sim-time metric timelines per sweep point or scenario phase")
 	fs.Uint64Var(&t.TimelineWindow, "timeline-window", 0, "timeline window size in simulated cycles (0: default)")

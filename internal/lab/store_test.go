@@ -606,3 +606,69 @@ func TestLookupDecodeIsStrict(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeHit feeds the hit decoder arbitrary envelope payloads. It must
+// never panic, and whatever it accepts as a hit must be a sound envelope of
+// this store's tag and kind whose result equals the reference: a plain
+// json.Unmarshal of the envelope with its result field pointing at a fresh
+// Result. The strict decoder, the skipped fields and the trailing-bytes
+// check may turn a payload into a miss, but never change what a hit holds.
+func FuzzDecodeHit(f *testing.F) {
+	st, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer st.Close()
+	w := trialW(1)
+	w.RecordLatency, w.RecordTimeline = true, true
+	res, err := bench.Run(w)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range []bench.Result{res, {W: trialW(2), Ops: 7, Throughput: 1.5}} {
+		payload, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		env, err := json.Marshal(envelope{
+			Tag: st.Tag(), Kind: bench.KindTrial, Spec: json.RawMessage(`{"DS":"list"}`),
+			Sum: payloadSum(payload), Result: payload,
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(env)
+		f.Add(env[:len(env)/2])
+	}
+	head := `{"tag":"` + st.Tag() + `","kind":"trial",`
+	f.Add([]byte(head + `"result":{"Ops":1}}`))
+	f.Add([]byte(head + `"result":null}`))
+	// A repeated result member decodes into the one value, member by member.
+	f.Add([]byte(head + `"result":{"Ops":1},"Result":{"Cycles":2}}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got bench.Result
+		if !st.decodeHit(data, bench.KindTrial, &got) {
+			return
+		}
+		var want bench.Result
+		ref := struct {
+			Tag    string        `json:"tag"`
+			Kind   string        `json:"kind"`
+			Result *bench.Result `json:"result"`
+		}{Result: &want}
+		if err := json.Unmarshal(data, &ref); err != nil {
+			t.Fatalf("hit on a payload encoding/json rejects: %v\n%q", err, data)
+		}
+		if ref.Tag != st.Tag() || ref.Kind != bench.KindTrial || ref.Result != &want {
+			t.Fatalf("hit on tag %q kind %q result %p\n%q", ref.Tag, ref.Kind, ref.Result, data)
+		}
+		if !reflect.DeepEqual(got, want) {
+			g, _ := json.Marshal(got)
+			r, _ := json.Marshal(want)
+			t.Fatalf("hit decodes to\n%s\nreference\n%s\npayload %q", g, r, data)
+		}
+	})
+}

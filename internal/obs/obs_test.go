@@ -220,7 +220,7 @@ func TestEventLog(t *testing.T) {
 // idempotent.
 func TestManifestWriteIsAtomic(t *testing.T) {
 	dir := t.TempDir()
-	r := New(Config{Tool: "camem", ManifestDir: dir, Spec: map[string]int{"threads": 16}})
+	r := New(Config{Tool: "figures", ManifestDir: dir, Spec: map[string]int{"threads": 16}})
 	r.AddPoints([]string{"p"}, 1)
 	w := r.Worker(0)
 	w.Start(PhaseSimulate)
@@ -248,7 +248,7 @@ func TestManifestWriteIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.RunID != r.RunID() || m.Tool != "camem" {
+	if m.RunID != r.RunID() || m.Tool != "figures" {
 		t.Errorf("manifest identity = %q/%q", m.RunID, m.Tool)
 	}
 	if m.Error != "simulated failure" {
