@@ -93,13 +93,28 @@ func (opt *options) register(fs *flag.FlagSet) func() (obs.SessionConfig, error)
 	fs.IntVar(&opt.farm, "farm", 0, "coordinator mode: spawn N worker processes over private shard stores, merge into -store, render warm")
 	opt.set = fs
 	return func() (obs.SessionConfig, error) {
+		// Empty lists and negative trials are command-line errors, caught
+		// here rather than as a run failure when the sweep validates.
+		schemeList := bench.SplitList(*schemes)
+		if len(schemeList) == 0 {
+			return obs.SessionConfig{}, errors.New("-schemes: empty list")
+		}
 		threadList, err := bench.SplitInts(*threads)
+		if err == nil && len(threadList) == 0 {
+			err = errors.New("empty list")
+		}
 		if err != nil {
 			return obs.SessionConfig{}, fmt.Errorf("-threads: %w", err)
 		}
 		updateList, err := bench.SplitInts(*updates)
+		if err == nil && len(updateList) == 0 {
+			err = errors.New("empty list")
+		}
 		if err != nil {
 			return obs.SessionConfig{}, fmt.Errorf("-updates: %w", err)
+		}
+		if *trials < 0 {
+			return obs.SessionConfig{}, fmt.Errorf("-trials %d must be non-negative", *trials)
 		}
 		wk := *workers
 		if tf.Trace != "" {
@@ -133,7 +148,7 @@ func (opt *options) register(fs *flag.FlagSet) func() (obs.SessionConfig, error)
 		}
 		opt.cfg = bench.SweepConfig{
 			DS:       tf.DS,
-			Schemes:  bench.SplitList(*schemes),
+			Schemes:  schemeList,
 			Threads:  threadList,
 			Updates:  updateList,
 			KeyRange: tf.KeyRange(), Ops: *ops, Buckets: tf.Buckets,

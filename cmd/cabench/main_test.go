@@ -89,6 +89,10 @@ func TestParseArgsErrors(t *testing.T) {
 		{"-updates", "ten"},
 		{"-ops", "many"},
 		{"-nosuchflag"},
+		{"-schemes", " , "},
+		{"-threads", " , "},
+		{"-updates", " , "},
+		{"-trials", "-1"},
 	} {
 		if _, err := parseArgs(args, io.Discard); err == nil {
 			t.Errorf("args %v accepted, want error", args)
@@ -189,6 +193,10 @@ func TestRunFailureModes(t *testing.T) {
 	}{
 		{"unopenable store", []string{"-store", filepath.Join(plain, "store")}, 1},
 		{"bad thread list", []string{"-threads", "1,x"}, 2},
+		{"empty scheme list", []string{"-schemes", " , "}, 2},
+		{"empty thread list", []string{"-threads", " , "}, 2},
+		{"empty update list", []string{"-updates", " , "}, 2},
+		{"negative trials", []string{"-trials", "-1"}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder

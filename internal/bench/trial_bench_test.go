@@ -67,3 +67,45 @@ func BenchmarkTrialTraced(b *testing.B) {
 		}
 	}
 }
+
+// TestTrialAllocBudget pins the allocations of one cold trial on a reused
+// Runner, the way TestLookupAllocBudget pins a warm store hit: a count, not a
+// time, so it holds on any host. Each budget is the cell's count before the
+// cache ports existed; a simulated access that allocates, or a port that
+// escapes to the heap, overruns it.
+//
+// The coroutines behind each multi-thread phase make the runtime allocate a
+// few goroutine records now and then, so a trial's count sits at its floor
+// or a handful above it. The test measures up to three trials and passes on
+// the first at or under budget: noise only adds, and a regression lifts the
+// floor itself.
+func TestTrialAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		ds, scheme string
+		budget     float64
+	}{
+		{"bst", "ca", 133},
+		{"list", "hp", 796},
+		{"hash", "rcu", 329},
+	} {
+		t.Run(tc.ds+"/"+tc.scheme, func(t *testing.T) {
+			w := benchTrialWorkload(tc.ds, tc.scheme)
+			var r Runner
+			var counts []float64
+			for len(counts) < 3 {
+				// AllocsPerRun's warm-up run builds the machine the measured
+				// trial reuses.
+				allocs := testing.AllocsPerRun(1, func() {
+					if _, err := r.Run(w); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs <= tc.budget {
+					return
+				}
+				counts = append(counts, allocs)
+			}
+			t.Fatalf("trials allocate %v times, budget %v", counts, tc.budget)
+		})
+	}
+}

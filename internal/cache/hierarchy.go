@@ -114,10 +114,8 @@ type l2cache struct {
 // one hyperthread notifies its siblings (whose tags on the line must be
 // revoked even though the line stays resident — paper Section III).
 type Hierarchy struct {
-	p      Params
-	smt    int     // hardware threads per L1
-	coreOf []int32 // hardware thread -> physical core; a divide here would
-	// sit on every simulated access
+	p        Params
+	smt      int // hardware threads per L1: thread t uses L1 t/smt
 	l1       []l1cache
 	l2       l2cache
 	listener Listener
@@ -130,10 +128,6 @@ type Hierarchy struct {
 func New(p Params, listener Listener) *Hierarchy {
 	p.Validate()
 	h := &Hierarchy{p: p, smt: p.SMTWidth(), listener: listener}
-	h.coreOf = make([]int32, p.Cores)
-	for t := range h.coreOf {
-		h.coreOf[t] = int32(t / h.smt)
-	}
 	l1Ways := (p.L1Bytes / (p.L1Assoc * lineBytes)) * p.L1Assoc
 	h.l1 = make([]l1cache, p.L1Count())
 	for c := range h.l1 {
@@ -266,7 +260,8 @@ func minLRU(lru []uint64) int {
 
 // find returns the slab index of line's way, or -1 when not resident: one
 // load of the residency index, equivalent by construction to scanning the
-// set's tags.
+// set's tags. Only the line-index bits of line are read, so any address
+// within the line finds it.
 func (c *l1cache) find(line uint64) int {
 	if li := line >> lineShift; li < uint64(len(c.wayOf)) {
 		return int(c.wayOf[li]) - 1
@@ -300,7 +295,7 @@ func growWays(w []int32, li uint64) []int32 {
 // HasLine reports the L1 state of line for hardware thread tid without
 // touching LRU or charging latency (a diagnostic, used by tests).
 func (h *Hierarchy) HasLine(tid int, line uint64) State {
-	l1 := &h.l1[h.coreOf[tid]]
+	l1 := &h.l1[tid/h.smt]
 	if w := l1.find(line); w >= 0 {
 		return l1.state[w]
 	}
@@ -325,7 +320,7 @@ func (h *Hierarchy) notifySiblings(tid int, line uint64) {
 	if h.listener == nil || h.smt == 1 {
 		return
 	}
-	base := int(h.coreOf[tid]) * h.smt
+	base := tid / h.smt * h.smt
 	for k := 0; k < h.smt; k++ {
 		if base+k != tid {
 			h.listener.LineInvalidated(base+k, line)
@@ -333,44 +328,102 @@ func (h *Hierarchy) notifySiblings(tid int, line uint64) {
 	}
 }
 
-// Read performs a load by hardware thread tid from the line containing addr
-// and returns its latency in cycles.
-func (h *Hierarchy) Read(tid int, addr uint64) uint64 {
-	core := int(h.coreOf[tid])
+// Port is one hardware thread's access point into the hierarchy: its L1,
+// resolved from the thread id once instead of on every access, and whether
+// the thread has the L1 to itself. A simulated thread holds its port by
+// value for as long as it runs.
+//
+// Every access is a hit attempt followed, when the attempt is refused, by
+// the matching slow path: ReadHit then ReadMiss, or WriteHit then WriteSlow.
+// The hit attempts make no calls, so they inline into every caller, and they
+// keep all the bookkeeping of a hit: the replacement tick, the LRU stamp and
+// L1Hits. A refused attempt changes nothing, so the slow path performs the
+// whole access.
+type Port struct {
+	h    *Hierarchy
+	l1   *l1cache
+	tid  int
+	core int
+	// latHit is Params.LatL1Hit, copied so that the hit attempts stay
+	// within the inlining budget.
+	latHit uint64
+	// solo is set when no SMT sibling shares the L1. Only then can a write
+	// hit stay inline: a sibling's tags on the line must be revoked by
+	// notifySiblings, which lives on the slow path.
+	solo bool
+}
+
+// Port returns hardware thread tid's access port.
+func (h *Hierarchy) Port(tid int) Port {
+	core := tid / h.smt
+	return Port{h: h, l1: &h.l1[core], tid: tid, core: core, latHit: h.p.LatL1Hit, solo: h.smt == 1}
+}
+
+// hit records an L1 hit on way w: the tick advances and stamps the way most
+// recently used.
+func (p *Port) hit(w int) {
+	h := p.h
+	h.tick++
+	p.l1.lru[w] = h.tick
+	h.stats.L1Hits++
+}
+
+// ReadHit performs a load from the line containing addr if it is resident in
+// the port's L1, returning the hit latency and true. Otherwise it returns
+// false having changed nothing, and the caller completes the load with
+// ReadMiss.
+func (p *Port) ReadHit(addr uint64) (uint64, bool) {
+	w := p.l1.find(addr)
+	if w < 0 {
+		return 0, false
+	}
+	p.hit(w)
+	return p.latHit, true
+}
+
+// WriteHit obtains the line containing addr for a store if the port's L1
+// already holds it Modified and no sibling shares the L1, returning the hit
+// latency and true. Otherwise it returns false having changed nothing, and
+// the caller completes the store with WriteSlow.
+func (p *Port) WriteHit(addr uint64) (uint64, bool) {
+	if w := p.l1.find(addr); w >= 0 && p.solo && p.l1.state[w] == Modified {
+		p.hit(w)
+		return p.latHit, true
+	}
+	return 0, false
+}
+
+// ReadMiss completes a load that ReadHit refused: the line is not resident,
+// so it is filled Shared through the directory. It returns the latency.
+func (p *Port) ReadMiss(addr uint64) uint64 {
+	h := p.h
 	line := addr &^ (lineBytes - 1)
 	h.tick++
-	l1 := &h.l1[core]
-	if w := l1.find(line); w >= 0 {
-		l1.lru[w] = h.tick
-		h.stats.L1Hits++
-		return h.p.LatL1Hit
-	}
 	h.stats.L1Misses++
-	lat, w2 := h.missFill(core, line, false)
-	h.l2.sharers[w2] |= 1 << uint(core)
+	lat, w2 := h.missFill(p.core, line, false)
+	h.l2.sharers[w2] |= 1 << uint(p.core)
 	h.l2.lru[w2] = h.tick
-	h.installL1(core, line, Shared, w2)
+	h.installL1(p.core, line, Shared, w2)
 	return lat
 }
 
-// Write obtains Modified ownership of the line containing addr for hardware
-// thread tid and returns the latency. The caller performs the actual data
-// store in the simulated heap.
-func (h *Hierarchy) Write(tid int, addr uint64) uint64 {
-	core := int(h.coreOf[tid])
+// WriteSlow completes a store that WriteHit refused: a Modified hit that
+// must notify SMT siblings, an S->M upgrade, or a read-for-ownership miss.
+// It returns the latency. The caller performs the data store in the
+// simulated heap.
+func (p *Port) WriteSlow(addr uint64) uint64 {
+	h := p.h
+	core := p.core
 	line := addr &^ (lineBytes - 1)
-	h.tick++
-	l1 := &h.l1[core]
+	l1 := p.l1
 	if w := l1.find(line); w >= 0 {
-		l1.lru[w] = h.tick
+		p.hit(w)
 		if l1.state[w] == Modified {
-			h.stats.L1Hits++
-			h.notifySiblings(tid, line)
-			return h.p.LatL1Hit
+			h.notifySiblings(p.tid, line)
+			return p.latHit
 		}
 		// S -> M upgrade.
-		h.stats.L1Hits++
-		lat := h.p.LatL1Hit + h.p.LatDir
+		lat := p.latHit + h.p.LatDir
 		w2 := int(l1.l2way[w])
 		if h.l2.lines[w2] != line {
 			panic(fmt.Sprintf("cache: inclusivity violated for line %#x", line))
@@ -386,18 +439,40 @@ func (h *Hierarchy) Write(tid int, addr uint64) uint64 {
 		h.l2.owner[w2] = int8(core)
 		h.l2.lru[w2] = h.tick
 		l1.state[w] = Modified
-		h.notifySiblings(tid, line)
+		h.notifySiblings(p.tid, line)
 		return lat
 	}
 	// Miss: read-for-ownership.
+	h.tick++
 	h.stats.L1Misses++
 	lat, w2 := h.missFill(core, line, true)
 	h.l2.sharers[w2] = 1 << uint(core)
 	h.l2.owner[w2] = int8(core)
 	h.l2.lru[w2] = h.tick
 	h.installL1(core, line, Modified, w2)
-	h.notifySiblings(tid, line)
+	h.notifySiblings(p.tid, line)
 	return lat
+}
+
+// Read performs a load by hardware thread tid from the line containing addr
+// and returns its latency in cycles.
+func (h *Hierarchy) Read(tid int, addr uint64) uint64 {
+	p := h.Port(tid)
+	if lat, ok := p.ReadHit(addr); ok {
+		return lat
+	}
+	return p.ReadMiss(addr)
+}
+
+// Write obtains Modified ownership of the line containing addr for hardware
+// thread tid and returns the latency. The caller performs the actual data
+// store in the simulated heap.
+func (h *Hierarchy) Write(tid int, addr uint64) uint64 {
+	p := h.Port(tid)
+	if lat, ok := p.WriteHit(addr); ok {
+		return lat
+	}
+	return p.WriteSlow(addr)
 }
 
 // missFill is the L1-miss path shared by Read and Write: directory lookup,

@@ -57,6 +57,10 @@ type Stats struct {
 // membership probes per operation, which profiles showed as the simulator's
 // single hottest non-cache component.
 type coreState struct {
+	// port is the hardware thread's access point into the cache hierarchy,
+	// set by Attach: a conditional access that passes its flag check tries
+	// the port's inline hit path first.
+	port cache.Port
 	// stamp[li] == era iff the line with index li is tagged. A stamp value of
 	// 0 never matches (era starts at 1 and only grows), so fresh table growth
 	// needs no initialization.
@@ -118,7 +122,6 @@ func (cs *coreState) growTo(li uint64) {
 // machine. Create it with New, wire it as the cache hierarchy's Listener,
 // then Attach the hierarchy and heap.
 type Extension struct {
-	h       *cache.Hierarchy
 	space   *mem.Space
 	cores   []coreState
 	stats   Stats
@@ -141,7 +144,9 @@ func New(nCores int) *Extension {
 
 // Attach connects the extension to the hierarchy and heap it observes.
 func (e *Extension) Attach(h *cache.Hierarchy, space *mem.Space) {
-	e.h = h
+	for i := range e.cores {
+		e.cores[i].port = h.Port(i)
+	}
 	e.space = space
 	e.latFlag = h.Params().LatFlagCheck
 }
@@ -209,7 +214,11 @@ func (e *Extension) CRead(core int, addr mem.Addr) (val uint64, lat uint64, ok b
 	// The load may evict another tagged line of this core, setting the
 	// revoked bit; per the paper's atomicity, this cread still succeeds (its
 	// flag check happened first) and the next conditional access fails.
-	lat = e.h.Read(core, addr) + e.latFlag
+	lat, hit := cs.port.ReadHit(addr)
+	if !hit {
+		lat = cs.port.ReadMiss(addr)
+	}
+	lat += e.latFlag
 	li := addr / mem.LineBytes
 	v, gen := e.space.ReadGen(addr)
 	if cs.tagged(li) {
@@ -255,7 +264,11 @@ func (e *Extension) CWrite(core int, addr mem.Addr, v uint64) (lat uint64, ok bo
 	}
 	// The line is tagged, hence still resident in this L1 (tags live on
 	// lines): the write is at worst an S->M upgrade, never a fill.
-	lat = e.h.Write(core, addr) + e.latFlag
+	lat, hit := cs.port.WriteHit(addr)
+	if !hit {
+		lat = cs.port.WriteSlow(addr)
+	}
+	lat += e.latFlag
 	e.space.Write(addr, v)
 	e.stats.CWrites++
 	return lat, true

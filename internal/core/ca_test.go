@@ -18,6 +18,15 @@ func rig(cores int) (*Extension, *mem.Space) {
 	return e, s
 }
 
+// write performs hardware thread tid's ordinary store to addr in the cache
+// model, as the simulator does: the port's hit path, else its slow path.
+func write(e *Extension, tid int, addr mem.Addr) {
+	p := &e.cores[tid].port
+	if _, hit := p.WriteHit(addr); !hit {
+		p.WriteSlow(addr)
+	}
+}
+
 func TestCReadTagsAndLoads(t *testing.T) {
 	e, s := rig(2)
 	a := s.AllocNode()
@@ -45,7 +54,7 @@ func TestRemoteWriteRevokes(t *testing.T) {
 		t.Fatal("cread failed")
 	}
 	// Core 1 writes the tagged line: core 0 must be revoked.
-	e.h.Write(1, a)
+	write(e, 1, a)
 	s.Write(a, 1)
 	if !e.Revoked(0) {
 		t.Fatal("remote write did not revoke")
@@ -97,12 +106,12 @@ func TestUntagOneStopsTracking(t *testing.T) {
 		t.Fatalf("tag set = %d, want 1", e.TagSetSize(0))
 	}
 	// A write to the untagged line must NOT revoke.
-	e.h.Write(1, a)
+	write(e, 1, a)
 	if e.Revoked(0) {
 		t.Fatal("untagged line still revokes")
 	}
 	// But the still-tagged line must.
-	e.h.Write(1, b)
+	write(e, 1, b)
 	if !e.Revoked(0) {
 		t.Fatal("tagged line did not revoke")
 	}
@@ -218,6 +227,6 @@ func (a *testAccessor) CWrite(addr mem.Addr, v uint64) bool {
 }
 
 func (a *testAccessor) Write(addr mem.Addr, v uint64) {
-	a.e.h.Write(a.core, addr)
+	write(a.e, a.core, addr)
 	a.s.Write(addr, v)
 }

@@ -103,7 +103,7 @@ func TestRevocationMonotoneUntilUntagAll(t *testing.T) {
 	a := s.AllocNode()
 	b := s.AllocNode()
 	e.CRead(0, a)
-	e.h.Write(1, a) // revoke
+	write(e, 1, a) // revoke
 	if !e.Revoked(0) {
 		t.Fatal("not revoked")
 	}

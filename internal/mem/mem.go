@@ -15,7 +15,10 @@
 // executable invariants.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Addr is a simulated byte address. Word accesses must be 8-byte aligned.
 type Addr = uint64
@@ -55,10 +58,11 @@ type Space struct {
 	// allocator would under churn).
 	freeList []uint32
 	nextLine uint32
-	// limit is nextLine*LineBytes, kept in sync by carve and Reset: the
-	// one-compare range check on the Read/Write/ReadGen fast paths, which
-	// must stay within the inlining budget.
-	limit Addr
+	// limit is nextLine*WordsPerLine, the word count of the carved heap,
+	// kept in sync by carve and Reset: the one-compare range and alignment
+	// check on the Read/Write/ReadGen fast paths (see word), which must stay
+	// within the inlining budget.
+	limit uint64
 
 	// checkUAF makes Read/Write panic when touching a freed line (see
 	// SetCheckUAF). The benchmark harness enables it in validation runs;
@@ -84,7 +88,7 @@ func (s Stats) NodeLive() uint64 { return s.NodeAllocs - s.NodeFrees }
 // NewSpace creates an empty simulated heap. Address 0 is reserved so that 0
 // can serve as the null pointer.
 func NewSpace() *Space {
-	s := &Space{nextLine: 1, limit: LineBytes}
+	s := &Space{nextLine: 1, limit: WordsPerLine}
 	s.grow(64)
 	s.lines[0].state = lineReserved
 	return s
@@ -207,37 +211,58 @@ func (s *Space) FreeNode(a Addr) {
 }
 
 // SetCheckUAF enables or disables use-after-free checking. With it on,
-// Read/Write/ReadGen panic when touching a freed line. The flag is folded
-// into limit (a checked space takes the out-of-line validation arm on every
-// access), which keeps the hot-path predicate to two tests.
-func (s *Space) SetCheckUAF(on bool) {
-	s.checkUAF = on
-	s.setLimit()
-}
+// Read/Write/ReadGen panic when touching a freed line.
+func (s *Space) SetCheckUAF(on bool) { s.checkUAF = on }
 
 // CheckUAF reports whether use-after-free checking is enabled.
 func (s *Space) CheckUAF() bool { return s.checkUAF }
 
-// setLimit recomputes the fast-path bound after nextLine or checkUAF
-// changes: zero under checkUAF so every access is fully validated.
-func (s *Space) setLimit() {
-	if s.checkUAF {
-		s.limit = 0
-	} else {
-		s.limit = Addr(s.nextLine) * LineBytes
+// setLimit recomputes the fast-path bound after nextLine changes.
+func (s *Space) setLimit() { s.limit = uint64(s.nextLine) * WordsPerLine }
+
+// word returns the word index of a, rotated so that the three offset bits
+// of an unaligned address land at the top: an aligned address yields a/8,
+// and an unaligned one a value no heap reaches. One compare against limit
+// then rejects both wild and unaligned addresses.
+func word(a Addr) uint64 { return bits.RotateLeft64(a, -3) }
+
+// invalid reports whether an access to a must fault: a is unaligned or
+// outside the carved heap, or use-after-free checking is on and a's line is
+// not live. With checking off it is one compare and one flag test.
+func (s *Space) invalid(a Addr) bool {
+	return word(a) >= s.limit || s.checkUAF && s.lines[a/LineBytes].state != lineLive
+}
+
+// accessFault is the panic value of an invalid access. It is formatted
+// when the panic is reported, not when it is raised, so the accessors raise
+// it without an out-of-line call; nothing touches the space while the panic
+// unwinds.
+type accessFault struct {
+	s  *Space
+	a  Addr
+	op string
+}
+
+func (f accessFault) Error() string {
+	s, a := f.s, f.a
+	switch {
+	case a%WordBytes != 0:
+		return fmt.Sprintf("mem: unaligned %s at %#x", f.op, a)
+	case a/LineBytes >= Addr(s.nextLine):
+		return fmt.Sprintf("mem: wild address %#x (heap has %d lines)", a, s.nextLine)
 	}
+	return fmt.Sprintf("mem: use-after-free %s at %#x (gen %d)", f.op, a, s.lines[a/LineBytes].gen)
 }
 
 // Read loads the word at a. With use-after-free checking on, reading a freed
 // line panics.
 //
-// Read, Write, and ReadGen sit on every simulated memory access; their
-// validity checks are shaped so the functions stay within the inlining
-// budget, with everything but the in-bounds aligned fast path pushed out of
-// line into checkSlow.
+// Read, Write, and ReadGen sit on every simulated memory access. They make
+// no calls, so they inline into every caller: the validity test is inline,
+// and an invalid access panics with an accessFault.
 func (s *Space) Read(a Addr) uint64 {
-	if a >= s.limit || a%WordBytes != 0 {
-		s.checkSlowRead(a)
+	if s.invalid(a) {
+		panic(accessFault{s, a, "read"})
 	}
 	return s.words[a/WordBytes]
 }
@@ -245,32 +270,10 @@ func (s *Space) Read(a Addr) uint64 {
 // Write stores v at a. With use-after-free checking on, writing a freed line
 // panics.
 func (s *Space) Write(a Addr, v uint64) {
-	if a >= s.limit || a%WordBytes != 0 {
-		s.checkSlowWrite(a)
+	if s.invalid(a) {
+		panic(accessFault{s, a, "write"})
 	}
 	s.words[a/WordBytes] = v
-}
-
-//go:noinline
-func (s *Space) checkSlowRead(a Addr) { s.checkSlow(a, "read") }
-
-//go:noinline
-func (s *Space) checkSlowWrite(a Addr) { s.checkSlow(a, "write") }
-
-// checkSlow is the out-of-line arm of the access validity check: it either
-// panics with the exact diagnosis (unaligned / wild / use-after-free) or
-// returns normally for a valid access under use-after-free checking, whose
-// zeroed limit routes every access here.
-func (s *Space) checkSlow(a Addr, op string) {
-	if a%WordBytes != 0 {
-		panic(fmt.Sprintf("mem: unaligned %s at %#x", op, a))
-	}
-	if a/LineBytes >= Addr(s.nextLine) {
-		panic(fmt.Sprintf("mem: wild address %#x (heap has %d lines)", a, s.nextLine))
-	}
-	if s.checkUAF && s.lines[a/LineBytes].state != lineLive {
-		panic(fmt.Sprintf("mem: use-after-free %s at %#x (gen %d)", op, a, s.lines[a/LineBytes].gen))
-	}
 }
 
 // ReadGen loads the word at a and returns it together with the containing
@@ -278,8 +281,8 @@ func (s *Space) checkSlow(a Addr, op string) {
 // needs on every tagged load. It is exactly Read followed by Gen, fused so
 // the address is resolved once.
 func (s *Space) ReadGen(a Addr) (uint64, uint32) {
-	if a >= s.limit || a%WordBytes != 0 {
-		s.checkSlowRead(a)
+	if s.invalid(a) {
+		panic(accessFault{s, a, "read"})
 	}
 	return s.words[a/WordBytes], s.lines[a/LineBytes].gen
 }

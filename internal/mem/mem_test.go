@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -154,4 +155,47 @@ func mustPanic(t *testing.T, what string, f func()) {
 		}
 	}()
 	f()
+}
+
+// TestFaultDiagnoses pins the message each invalid access panics with, for
+// all three accessors: unaligned, wild, and (with checking on) use after
+// free. Without checking, a freed line reads as poison.
+func TestFaultDiagnoses(t *testing.T) {
+	s := NewSpace()
+	a := s.AllocNode()
+	freed := s.AllocNode()
+	s.FreeNode(freed)
+	if v, _ := s.ReadGen(freed); v != PoisonWord {
+		t.Fatalf("unchecked read of a freed line = %#x, want poison", v)
+	}
+	s.SetCheckUAF(true)
+	s.Write(a, 5)
+	if v, g := s.ReadGen(a); v != 5 || g != 1 || s.Read(a) != 5 {
+		t.Fatalf("checked live access = %d gen %d", v, g)
+	}
+	for _, tc := range []struct {
+		name string
+		f    func()
+		want string
+	}{
+		{"unaligned read", func() { s.Read(a + 3) }, "mem: unaligned read at 0x43"},
+		{"unaligned write", func() { s.Write(a+5, 1) }, "mem: unaligned write at 0x45"},
+		{"unaligned ReadGen", func() { s.ReadGen(a + 1) }, "mem: unaligned read at 0x41"},
+		{"wild read", func() { s.Read(1 << 40) }, "mem: wild address 0x10000000000 (heap has 3 lines)"},
+		{"wild write", func() { s.Write(3*LineBytes, 1) }, "mem: wild address 0xc0 (heap has 3 lines)"},
+		{"wild ReadGen", func() { s.ReadGen(1 << 40) }, "mem: wild address 0x10000000000 (heap has 3 lines)"},
+		{"freed read", func() { s.Read(freed + 8) }, "mem: use-after-free read at 0x88 (gen 1)"},
+		{"freed write", func() { s.Write(freed, 1) }, "mem: use-after-free write at 0x80 (gen 1)"},
+		{"freed ReadGen", func() { s.ReadGen(freed) }, "mem: use-after-free read at 0x80 (gen 1)"},
+		{"null read", func() { s.Read(0) }, "mem: use-after-free read at 0x0 (gen 0)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != tc.want {
+					t.Fatalf("panic %q, want %q", got, tc.want)
+				}
+			}()
+			tc.f()
+		})
+	}
 }
